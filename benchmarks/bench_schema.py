@@ -7,9 +7,12 @@ dashboards and regression checks can read any of them identically:
 * ``host`` — where the numbers were measured: ``python`` version,
   ``platform`` string, ``cpus`` (usable cores, the scheduler's
   affinity mask), ``cpu_count`` (``os.cpu_count()``, the machine's
-  total — parallel speedups are meaningless without both), and
+  total — parallel speedups are meaningless without both),
   optionally ``backend`` (the service worker mode the numbers were
-  taken under);
+  taken under), and — optional, so older files still validate —
+  ``commit`` (``git rev-parse HEAD``, or ``"unknown"``) and
+  ``recorded_at`` (UTC ISO-8601), which tie a record to the run that
+  wrote it;
 * ``sizes`` — a non-empty list of measurements, each with an integer
   ``size`` (the workload scale knob) and at least one ``*speedup*``
   field (the ratio the benchmark exists to track).
@@ -25,8 +28,26 @@ from __future__ import annotations
 import json
 import os
 import platform as _platform
+import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
+
+#: the checkout whose commit :func:`host_info` stamps
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _commit() -> str:
+    """``git rev-parse HEAD`` of this checkout, or ``"unknown"``."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    commit = out.stdout.strip()
+    return commit if out.returncode == 0 and commit else "unknown"
 
 
 def host_info(backend: str | None = None) -> dict[str, object]:
@@ -34,7 +55,8 @@ def host_info(backend: str | None = None) -> dict[str, object]:
     measured.  ``cpus`` is the usable-core count (affinity mask);
     ``cpu_count`` is the machine total — a 0.9x "parallel speedup"
     on a 1-CPU host is expected, not a regression, and the host block
-    is what lets a reader tell the difference."""
+    is what lets a reader tell the difference.  ``commit`` and
+    ``recorded_at`` say which code wrote the record, and when."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -44,6 +66,10 @@ def host_info(backend: str | None = None) -> dict[str, object]:
         "platform": _platform.platform(),
         "cpus": cpus,
         "cpu_count": os.cpu_count() or 1,
+        "commit": _commit(),
+        "recorded_at": datetime.now(timezone.utc).isoformat(
+            timespec="seconds"
+        ),
     }
     if backend is not None:
         info["backend"] = backend
@@ -66,11 +92,10 @@ def validate_bench(payload: dict) -> list[str]:
         cpu_count = host.get("cpu_count")
         if not isinstance(cpu_count, int) or cpu_count < 1:
             problems.append("host.cpu_count must be an integer >= 1")
-        backend = host.get("backend")
-        if backend is not None and (
-            not isinstance(backend, str) or not backend
-        ):
-            problems.append("host.backend must be a non-empty string")
+        for key in ("backend", "commit", "recorded_at"):
+            value = host.get(key)
+            if value is not None and (not isinstance(value, str) or not value):
+                problems.append(f"host.{key} must be a non-empty string")
     sizes = payload.get("sizes")
     if not isinstance(sizes, list) or not sizes:
         problems.append("'sizes' must be a non-empty list")

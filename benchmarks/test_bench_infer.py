@@ -40,7 +40,7 @@ def _config(pairs: int) -> InferenceConfig:
         seed=SEED,
         pairs=pairs,
         trace_programs=pairs,
-        network_gate=False,
+        matcher_gate=False,
     )
 
 
@@ -102,7 +102,7 @@ def test_smoke_infer_admits_and_refuses(tmp_path):
     """CI smoke: one small serial run, evidence checks only."""
     config = InferenceConfig(
         seed=SEED, pairs=9, trace_programs=0,
-        network_gate=False, out_dir=tmp_path,
+        matcher_gate=False, out_dir=tmp_path,
     )
     result = run_inference(config)
     assert len(result.admitted) >= 5, result.summary()

@@ -23,7 +23,8 @@ must clear :data:`TARGET_MUTATION_SPEEDUP` and
 additionally generates a fresh 10^6-quad program and runs one full
 driver pass (dependence analysis + matching + one application) inside
 :data:`MILLION_BUDGET_S`, recording the phase times alongside the
-curve.
+curve under its own ``host`` stamp (commit, time).  Re-measuring the
+curve drops any earlier driver record instead of carrying it over.
 
 ``test_smoke_ir_equivalence`` is the cheap CI entry point (select with
 ``-k smoke``): one small size, equivalence of both arms only.
@@ -173,10 +174,6 @@ def test_mutation_and_fingerprint_speedups():
         "target_fingerprint_speedup_at_largest": TARGET_FP_SPEEDUP,
         "sizes": entries,
     }
-    if RESULTS_PATH.exists():  # keep a previously recorded driver pass
-        previous = json.loads(RESULTS_PATH.read_text())
-        if "million_driver" in previous:
-            payload["million_driver"] = previous["million_driver"]
     write_bench(RESULTS_PATH, payload)
     largest = entries[-1]
     assert largest["mutation_speedup"] >= TARGET_MUTATION_SPEEDUP, (
@@ -215,6 +212,7 @@ def test_million_quad_driver_pass():
         "total_s": round(total_s, 2),
         "applications": len(result.applications),
         "budget_s": MILLION_BUDGET_S,
+        "host": host_info(),
     }
     if RESULTS_PATH.exists():
         payload = json.loads(RESULTS_PATH.read_text())

@@ -11,23 +11,13 @@ time does not dilute the ratio.  Timings for every size are recorded
 in ``BENCH_match.json`` at the repository root; the largest size must
 show at least a :data:`TARGET_SPEEDUP` matching-phase improvement.
 
-``test_network_spec_scaling`` is the catalog-size arm (ISSUE 7): the
-steady-state per-edit cost of re-deriving every loaded spec's agenda,
-once with a per-spec ``sweep()`` loop and once through the shared
-discrimination network's ``sweep_all()``, at catalog sizes 1/5/11,
-the full 26-spec real catalog (standard + extended + inferred), and a
-~50-spec prefix-sharing stress catalog; recorded under
-``spec_scaling`` in the same JSON.
-
-``test_smoke_worklist_matches_rescan`` and
-``test_smoke_network_agenda_matches_per_spec`` are the cheap CI entry
-points (select with ``-k smoke``): small sizes, asserting behavioural
+``test_smoke_worklist_matches_rescan`` is the cheap CI entry point
+(select with ``-k smoke``): a small size, asserting behavioural
 equivalence between the arms rather than any timing ratio.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -35,21 +25,10 @@ import pytest
 
 from bench_schema import write_bench
 from repro.analysis.manager import AnalysisManager
-from repro.genesis.driver import DriverOptions, make_context, run_optimizer
-from repro.genesis.generator import generate_optimizer
-from repro.genesis.matching import (
-    MatchEngine,
-    MatchStats,
-    engine_for,
-    spec_fingerprint,
-)
+from repro.genesis.driver import DriverOptions, run_optimizer
+from repro.genesis.matching import MatchStats, engine_for
 from repro.ir.program import Program
-from repro.ir.quad import Opcode
-from repro.ir.types import Const
-from repro.opts.catalog import build_optimizer, standard_optimizers
-from repro.opts.extended import EXTENDED_SPECS
-from repro.opts.inferred import INFERRED_SPECS
-from repro.opts.specs import STANDARD_SPECS
+from repro.opts.catalog import standard_optimizers
 from repro.workloads.synthetic import random_program
 
 #: The 10-pass pipeline: two cleanup rounds plus a final sweep.
@@ -143,215 +122,6 @@ def test_worklist_speedup(pipeline_optimizers):
         f"worklist matching gave only {speedup_at_largest:.2f}x at "
         f"size {SIZES[-1]} (need {TARGET_SPEEDUP}x); see {RESULTS_PATH}"
     )
-
-
-# ----------------------------------------------------------------------
-# catalog-size scaling: shared network vs a per-spec sweep loop (ISSUE 7)
-# ----------------------------------------------------------------------
-
-#: Catalog sizes for the spec-count scaling arm.  26 is the full real
-#: catalog (standard + extended + inferred); the last size pads it
-#: with CTP variants whose seed shape and anchor dependence test are
-#: identical, so the shared trie merges their whole prefix — the
-#: prefix-sharing stress case.
-SPEC_SIZES = (1, 5, 11, 26, 50)
-
-#: Steady-state edits per measurement (constant-value modifies).
-EDITS = 12
-
-#: Program scale for the scaling arm.
-SCALING_PROGRAM_SIZE = 160
-
-#: Required shared-network per-sweep improvement by catalog size.
-TARGET_NETWORK_SPEEDUP = {11: 3.0, 50: 5.0}
-
-ALL_NAMES = (
-    "BMP", "CFO", "CPP", "CRC", "CTP", "DCE", "FUS", "ICM", "INX",
-    "LUR", "PAR",
-)
-
-#: The real catalog beyond the paper's eleven: the extended hand-
-#: written specs, then the machine-inferred ones — every entry is a
-#: shipped spec reachable through ``build_optimizer``.  CSE is
-#: excluded: its unconstrained any-pair enumeration costs ~200ms per
-#: edit in *both* arms (nothing to share, nothing to incrementalize),
-#: which would swamp the quantity this arm measures; the exclusion is
-#: recorded in the JSON.
-EXCLUDED_FROM_SCALING = ("CSE",)
-REAL_TAIL = tuple(
-    name
-    for name in sorted(EXTENDED_SPECS)
-    if name not in EXCLUDED_FROM_SCALING
-) + tuple(sorted(INFERRED_SPECS))
-
-
-def _scaling_catalog(count: int) -> list:
-    """The first ``count`` specs of the real catalog (standard, then
-    extended, then inferred), padded past it with CTP variants that
-    share the standard prefix.  Every entry carries a distinct
-    ``spec_fingerprint``, which is what keys the engine's per-spec
-    sweep caches and profiles."""
-    standard = standard_optimizers()
-    catalog = [standard[name] for name in ALL_NAMES[:count]]
-    for name in REAL_TAIL[: max(0, count - len(catalog))]:
-        catalog.append(build_optimizer(name))
-    variant = STANDARD_SPECS["CTP"].replace(
-        "type(Si.opr_1) == var;",
-        "type(Si.opr_1) == var AND Si.opr_2 == {k};",
-    )
-    for k in range(count - len(catalog)):
-        catalog.append(
-            generate_optimizer(
-                variant.format(k=1000 + k), name=f"CTP_V{k}"
-            )
-        )
-    fingerprints = {spec_fingerprint(optimizer) for optimizer in catalog}
-    assert len(fingerprints) == len(catalog), "catalog fingerprint clash"
-    return catalog
-
-
-def _const_edits(program: Program):
-    """An endless steady-state edit stream: bump the value of each
-    constant-assignment quad in turn (a pre-imaged in-place modify)."""
-    value = 100
-    while True:
-        victims = [
-            quad
-            for quad in program
-            if quad.opcode is Opcode.ASSIGN and isinstance(quad.a, Const)
-        ]
-        for quad in victims:
-            value += 1
-            before = program.preimage(quad.qid)
-            quad.set_operand("a", Const(value))
-            program.touch(quad.qid, before=before)
-            yield
-
-
-def _measure_per_spec(base: Program, catalog) -> float:
-    """Seconds of matching per edit with one sweep() call per spec."""
-    program = base.clone()
-    manager = AnalysisManager(program)
-    engine = MatchEngine(manager, full_check=False)
-    manager._match_engine = engine
-    edits = _const_edits(program)
-    ctx = make_context(program, manager=manager)
-    for optimizer in catalog:  # warm the caches
-        engine.sweep(optimizer, ctx)
-    elapsed = 0.0
-    for _ in range(EDITS):
-        next(edits)
-        ctx = make_context(program, manager=manager)
-        start = time.perf_counter()
-        for optimizer in catalog:
-            engine.sweep(optimizer, ctx)
-        elapsed += time.perf_counter() - start
-    return elapsed / EDITS
-
-
-def _measure_network(base: Program, catalog) -> tuple[float, MatchStats]:
-    """Seconds of matching per edit with one sweep_all() shared pass."""
-    program = base.clone()
-    manager = AnalysisManager(program)
-    engine = MatchEngine(manager, full_check=False)
-    manager._match_engine = engine
-    edits = _const_edits(program)
-    engine.sweep_all(make_context(program, manager=manager), catalog)
-    elapsed = 0.0
-    for _ in range(EDITS):
-        next(edits)
-        ctx = make_context(program, manager=manager)
-        start = time.perf_counter()
-        engine.sweep_all(ctx)
-        elapsed += time.perf_counter() - start
-    return elapsed / EDITS, engine.stats
-
-
-def test_network_spec_scaling():
-    """Per-edit sweep cost vs catalog size, recorded as JSON.
-
-    The per-spec arm pays every spec a sweep per edit; the shared
-    network classifies the touched quads once against the merged trie
-    and re-runs only the tails the edit's recorded support touched, so
-    its per-sweep cost must grow sublinearly in the number of loaded
-    specs: at least 3x over the per-spec loop at the standard eleven,
-    at least 5x on the ~50-spec prefix-sharing catalog.
-    """
-    base = random_program(SEED, size=SCALING_PROGRAM_SIZE, max_depth=2)
-    entries = []
-    speedups: dict[int, float] = {}
-    for count in SPEC_SIZES:
-        catalog = _scaling_catalog(count)
-        per_spec_s = _measure_per_spec(base, catalog)
-        network_s, stats = _measure_network(base, catalog)
-        speedup = per_spec_s / network_s
-        speedups[count] = speedup
-        entries.append(
-            {
-                "size": count,
-                "quads": len(base),
-                "edits": EDITS,
-                "per_spec_sweep_s": round(per_spec_s, 6),
-                "network_sweep_s": round(network_s, 6),
-                "network_speedup": round(speedup, 2),
-                "network_arm": {
-                    "network_nodes": stats.network_nodes,
-                    "network_shared_hits": stats.network_shared_hits,
-                    "network_tokens": stats.network_tokens,
-                    "network_tail_runs": stats.network_tail_runs,
-                    "network_entries_reused": stats.network_entries_reused,
-                    "network_agenda_points": stats.network_agenda_points,
-                },
-            }
-        )
-    if RESULTS_PATH.exists():
-        payload = json.loads(RESULTS_PATH.read_text())
-    else:  # standalone run: the scaling entries satisfy the schema
-        payload = {"seed": SEED, "sizes": entries}
-    payload["spec_scaling"] = {
-        "program_size": SCALING_PROGRAM_SIZE,
-        "edits_per_measurement": EDITS,
-        "excluded_specs": list(EXCLUDED_FROM_SCALING),
-        "targets": {
-            str(size): target
-            for size, target in TARGET_NETWORK_SPEEDUP.items()
-        },
-        "sizes": entries,
-    }
-    write_bench(RESULTS_PATH, payload)
-    for count, target in TARGET_NETWORK_SPEEDUP.items():
-        assert speedups[count] >= target, (
-            f"shared network gave only {speedups[count]:.2f}x over the "
-            f"per-spec loop at {count} specs (need {target}x); see "
-            f"{RESULTS_PATH}"
-        )
-
-
-def test_smoke_network_agenda_matches_per_spec():
-    """CI smoke: shared-network agendas == per-spec sweeps (no timing)."""
-    base = random_program(SEED, size=40, max_depth=2)
-    catalog = _scaling_catalog(11)
-    program = base.clone()
-    manager = AnalysisManager(program)
-    engine = MatchEngine(manager, full_check=False)
-    manager._match_engine = engine
-    reference = MatchEngine(manager, full_check=False)
-    edits = _const_edits(program)
-    for step in range(3):
-        if step:
-            next(edits)
-        ctx = make_context(program, manager=manager)
-        results = engine.sweep_all(ctx, catalog)
-        for optimizer in catalog:
-            want = reference.sweep(
-                optimizer,
-                make_context(program, manager=manager),
-                allow_worklist=False,
-            )
-            assert results[optimizer.name].points == want.points, (
-                optimizer.name
-            )
-    assert engine.stats.network_sweeps > 0
 
 
 def test_smoke_worklist_matches_rescan(pipeline_optimizers):

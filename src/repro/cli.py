@@ -52,7 +52,7 @@ rejected session command) — reported as a one-line diagnostic.
         Spec inference: mine candidate rewrites from before/after
         pairs, generalize them through the abstraction ladder, and
         admission-certify each rung (sema, legality, the differential
-        oracle, the shared-network shadow check).  Admitted specs
+        oracle, the worklist matcher's shadow check).  Admitted specs
         print as GOSpeL source; rejections leave shrunk
         counterexamples.  ``--emit-module`` renders the admitted set
         as a catalog module (how ``repro.opts.inferred`` is made).
@@ -235,13 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--analysis-stats", action="store_true",
         help="print the analysis manager's cache/incremental counters "
         "and the match engine's candidate/index/sweep counters",
-    )
-    optimize.add_argument(
-        "--match-mode", choices=["network", "worklist", "rescan"],
-        default="network",
-        help="application-point discovery: the catalog-wide shared "
-        "discrimination network (default), per-spec incremental "
-        "worklist matching, or the paper's restart-from-top re-scan",
     )
     optimize.add_argument(
         "--max-rollbacks", type=int, default=8, metavar="N",
@@ -601,8 +594,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "module (what src/repro/opts/inferred.py is)",
     )
     infer.add_argument(
-        "--no-network", action="store_true",
-        help="skip the shared-network shadow gate",
+        "--no-matcher-gate", action="store_true",
+        help="skip the matcher shadow gate (gate 5)",
     )
     infer.add_argument(
         "--json", default=None, metavar="FILE",
@@ -716,7 +709,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         on_failure=args.on_failure,
         max_rollbacks=args.max_rollbacks,
         deadline_seconds=args.deadline,
-        match_mode=args.match_mode,
     )
     from repro.analysis.manager import AnalysisManager
     from repro.genesis.transaction import HealthLedger
@@ -1161,7 +1153,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         corpus_size=args.corpus_size,
         trials=args.trials,
         out_dir=Path(args.out) if args.out else None,
-        network_gate=not args.no_network,
+        matcher_gate=not args.no_matcher_gate,
         max_windows=args.max_windows,
     )
 

@@ -137,10 +137,10 @@ def shape_hint(
     Only top-level AND conjuncts of the clause format are consulted,
     and only equality comparisons against symbolic constants — anything
     else widens the hint (drops it) rather than narrowing it, so the
-    hint is always a superset filter.  Shared between the per-spec
-    matcher emission and the catalog-level discrimination network
-    (:mod:`repro.genesis.network`), which must bucket candidates by
-    exactly the same classification.
+    hint is always a superset filter: the emitted seed scan passes it
+    to ``lib.statements``, which serves the candidates from the
+    matching engine's shape buckets
+    (:class:`repro.genesis.matching.MatchIndex`).
     """
     if format_cond is None:
         return None
@@ -419,7 +419,7 @@ class CodeGenerator:
                     continue
             elem_type = self.types[var]
             if elem_type is ElemType.STMT:
-                shape = self._shape_hint(format_cond, var)
+                shape = shape_hint(self.types, format_cond, var)
                 call = (
                     f"lib.statements(ctx, shape={shape!r})"
                     if shape is not None else "lib.statements(ctx)"
@@ -432,14 +432,6 @@ class CodeGenerator:
             bound.add(var)
             depth += 1
         return depth
-
-    def _shape_hint(
-        self, format_cond: Optional[Cond], var: str
-    ) -> Optional[tuple[str, ...]]:
-        return shape_hint(self.types, format_cond, var)
-
-    def _bare_symbol(self, value: Value) -> Optional[str]:
-        return bare_symbol(self.types, value)
 
     # ------------------------------------------------------------------
     # pre (Depend)
@@ -1044,116 +1036,3 @@ def generate_source(
 ) -> GeneratedSource:
     """Compile an analyzed specification to generated Python source."""
     return CodeGenerator(analyzed, policy).generate()
-
-
-# ----------------------------------------------------------------------
-# catalog-level emission: the shared discrimination network
-# ----------------------------------------------------------------------
-
-def emit_network(optimizers: Sequence[object]) -> GeneratedSource:
-    """Render the catalog's shared discrimination network as source.
-
-    The per-spec generators above keep the paper's contract at the spec
-    level — GENesis emits code, it does not interpret specs.  This
-    keeps the same contract at the *catalog* level: the trie built by
-    :mod:`repro.genesis.network` from every loaded spec's seed shape
-    and anchor dependence tests is rendered as one Python module whose
-    ``classify_network(ctx, qid, shapes, stats=None)`` returns the
-    names of the specs whose shared prefix admits statement ``qid`` as
-    a candidate seed.  Shared prefixes become shared ``if`` nests, so a
-    quad is classified once against the whole catalog; nodes with more
-    than one subscribing spec record the evaluations they saved in
-    ``stats['shared_prefix_hits']``.
-    """
-    from repro.genesis.network import build_trie, compile_plan
-
-    plans = sorted(
-        (compile_plan(optimizer) for optimizer in optimizers),
-        key=lambda plan: plan.name,
-    )
-    seeded = [plan for plan in plans if plan.granularity == "seed"]
-    coarse = tuple(
-        plan.name for plan in plans if plan.granularity != "seed"
-    )
-    trie = build_trie(seeded)
-    e = Emitter()
-    e.emit('"""Code generated by GENesis: catalog discrimination '
-           'network."""')
-    e.emit("from repro.genesis import library as lib")
-    e.emit()
-    e.emit("#: specs classified per candidate seed by the network")
-    e.emit(f"NETWORK_SPECS = {tuple(plan.name for plan in seeded)!r}")
-    e.emit("#: specs matched per-spec (loop-seeded or multi-pattern)")
-    e.emit(f"NETWORK_COARSE = {coarse!r}")
-    e.emit(f"NETWORK_NODES = {trie.nodes!r}")
-    e.emit(f"NETWORK_SHARED_NODES = {trie.shared_nodes!r}")
-    e.emit()
-    e.emit()
-    e.emit("def classify_network(ctx, qid, shapes, stats=None):")
-    with e.block():
-        e.emit('"""Spec names whose shared prefix admits seed '
-               '``qid``.')
-        e.emit()
-        e.emit("``shapes`` are the candidate's shape-bucket tokens; "
-               "every")
-        e.emit("test below is a necessary condition for the owning "
-               "specs,")
-        e.emit("so the returned names are a superset filter, never a")
-        e.emit("decision.  ``stats['shared_prefix_hits']`` counts the")
-        e.emit("evaluations avoided at nodes shared by several specs.")
-        e.emit('"""')
-        e.emit("out = []")
-        shaped = [
-            (token, node)
-            for token, node in trie.roots.items()
-            if token is not None
-        ]
-        for token, node in sorted(shaped):
-            e.emit(f"if {token!r} in shapes:")
-            with e.block():
-                _render_network_node(e, node)
-        unshaped = trie.roots.get(None)
-        if unshaped is not None:
-            e.emit("# seeds with no shape constraint: every quad")
-            _render_network_node(e, unshaped)
-        e.emit("return tuple(dict.fromkeys(out))")
-    return GeneratedSource(
-        name="NETWORK",
-        source=e.text(),
-        warnings=[],
-    )
-
-
-def _render_network_node(e: Emitter, node: object) -> None:
-    """Emit one trie node: shared-hit bookkeeping, accepts, children."""
-    if node.subscribers > 1:
-        e.emit("if stats is not None:")
-        with e.block():
-            e.emit(
-                f"stats['shared_prefix_hits'] += {node.subscribers - 1}"
-            )
-    for name in node.accepts:
-        e.emit(f"out.append({name!r})")
-    for test, child in node.children.items():
-        e.emit(f"if {_render_network_test(test)}:")
-        with e.block():
-            _render_network_node(e, child)
-
-
-def _render_network_test(test: object) -> str:
-    """One dependence test: an OR over edge-existence probes."""
-    parts = []
-    for kind, seed_is_src, pattern in test.atoms:
-        if seed_is_src:
-            parts.append(
-                f"lib.dep_exists(ctx, {kind!r}, qid, None, "
-                f"pattern={pattern!r})"
-            )
-        else:
-            parts.append(
-                f"lib.dep_exists(ctx, {kind!r}, None, qid, "
-                f"pattern={pattern!r})"
-            )
-    if len(parts) == 1:
-        return parts[0]
-    return "(" + " or ".join(parts) + ")"

@@ -77,16 +77,13 @@ class DriverOptions:
     #: the run before the driver gives up
     max_match_attempts: Optional[int] = None
     #: how application points are discovered between applications:
-    #: ``"network"`` (default) pulls from the catalog-wide shared
-    #: discrimination network's agenda (see
-    #: :mod:`repro.genesis.network`), falling back to per-spec sweeps
-    #: when the network cannot serve the context; ``"worklist"`` sweeps
-    #: through the per-spec matching engine (candidate indexes +
-    #: dirty-region worklist, see :mod:`repro.genesis.matching`);
-    #: ``"rescan"`` restarts the naive full scan from the top of the
-    #: program after every application — the paper's Figure 5
-    #: behaviour, kept as the benchmark baseline
-    match_mode: str = "network"
+    #: ``"worklist"`` (default) sweeps through the matching engine
+    #: (candidate indexes + dirty-region worklist, see
+    #: :mod:`repro.genesis.matching`); ``"rescan"`` restarts the naive
+    #: full scan from the top of the program after every application
+    #: — the paper's Figure 5 behaviour, kept as the reference the
+    #: worklist is tested and benchmarked against
+    match_mode: str = "worklist"
 
 
 @dataclass
@@ -322,18 +319,14 @@ def run_optimizer(
     circuit breaker shared across a pipeline or session.
 
     Point discovery between applications is governed by
-    ``options.match_mode``: the default ``"network"`` pulls from the
-    catalog-wide shared discrimination network's standing agenda
-    (:mod:`repro.genesis.network`), re-running only the per-spec tails
-    whose recorded support a change touched; ``"worklist"`` sweeps
-    through the :mod:`repro.genesis.matching` engine, which serves
-    candidates from shape-bucket indexes and — after a committed
-    application — re-enumerates only the dirty region its transaction
-    touched; ``"rescan"`` restarts the naive full scan from the top of
-    the program each time (the paper's Figure 5 loop, kept as the
-    benchmark baseline).  The network path falls back to per-spec
-    sweeps whenever it cannot serve a context soundly, and is itself
-    shadow-checked against full re-scans under ``REPRO_MATCH_CHECK=1``.
+    ``options.match_mode``: the default ``"worklist"`` sweeps through
+    the :mod:`repro.genesis.matching` engine, which serves candidates
+    from shape-bucket indexes and — after a committed application —
+    re-enumerates only the dirty region its transaction touched;
+    ``"rescan"`` restarts the naive full scan from the top of the
+    program each time (the paper's Figure 5 loop, kept as the
+    reference).  Under ``REPRO_MATCH_CHECK=1`` every worklist sweep is
+    shadow-checked against a full re-scan.
     """
     options = options or DriverOptions()
     counters = CostCounters()
@@ -375,15 +368,9 @@ def run_optimizer(
                 options.recompute_dependences
                 and options.enforce_restrictions
             )
-            sweep = None
-            if options.match_mode == "network" and allow_worklist:
-                # the shared agenda; None when the network cannot
-                # serve this context (per-spec sweep then decides)
-                sweep = engine.network_sweep(optimizer, ctx)
-            if sweep is None:
-                sweep = engine.sweep(
-                    optimizer, ctx, allow_worklist=allow_worklist
-                )
+            sweep = engine.sweep(
+                optimizer, ctx, allow_worklist=allow_worklist
+            )
             fuel_used += sweep.attempts
             if (
                 options.max_match_attempts is not None

@@ -152,23 +152,10 @@ class MatchStats:
     #: candidates enumerated across every engine sweep
     candidates_scanned: int = 0
     sweep_seconds: float = 0.0
-    #: agendas served from the shared catalog network
-    network_sweeps: int = 0
-    #: current node count of the compiled discrimination trie
-    network_nodes: int = 0
-    #: classifier evaluations avoided at nodes shared by several specs
-    network_shared_hits: int = 0
-    #: candidate quads (re)classified against the network (the tokens
-    #: reprocessed per delta — steady state stays near the change size)
-    network_tokens: int = 0
-    #: per-spec tail executions (match/pre runs under recording)
-    network_tail_runs: int = 0
-    #: standing entries served across refreshes without a re-run
-    network_entries_reused: int = 0
-    #: points served from network agendas, cumulative
-    network_agenda_points: int = 0
-    #: wall-clock spent maintaining the network (inside sweep_seconds)
-    network_seconds: float = 0.0
+    #: read by genesis_bench/child.py (frozen); nothing counts it: 0
+    network_tail_runs = 0
+    #: read by genesis_bench/child.py (frozen); nothing counts it: 0
+    network_entries_reused = 0
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -182,18 +169,10 @@ class MatchStats:
             "index_hits": self.index_hits,
             "candidates_scanned": self.candidates_scanned,
             "sweep_seconds": self.sweep_seconds,
-            "network_sweeps": self.network_sweeps,
-            "network_nodes": self.network_nodes,
-            "network_shared_hits": self.network_shared_hits,
-            "network_tokens": self.network_tokens,
-            "network_tail_runs": self.network_tail_runs,
-            "network_entries_reused": self.network_entries_reused,
-            "network_agenda_points": self.network_agenda_points,
-            "network_seconds": self.network_seconds,
         }
 
     def summary(self) -> str:
-        text = (
+        return (
             f"matching: {self.candidates_scanned} candidate(s) scanned, "
             f"{self.index_hits} index hit(s), "
             f"{self.worklist_sweeps} worklist sweep(s), "
@@ -203,17 +182,6 @@ class MatchStats:
             f"{self.points_dropped} dropped, "
             f"{self.points_rediscovered} rediscovered)"
         )
-        if self.network_sweeps or self.network_nodes:
-            text += (
-                f"\nnetwork: {self.network_nodes} node(s), "
-                f"{self.network_sweeps} network sweep(s), "
-                f"{self.network_tokens} token(s) classified, "
-                f"{self.network_shared_hits} shared-prefix hit(s), "
-                f"{self.network_tail_runs} tail run(s), "
-                f"{self.network_entries_reused} entr(ies) reused, "
-                f"{self.network_agenda_points} agenda point(s) served"
-            )
-        return text
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +621,7 @@ class SweepResult:
     points: list[Point]
     #: match-phase yields consumed (feeds the driver's fuel budget)
     attempts: int
-    mode: str  # "full" | "worklist" | "cached" | "network"
+    mode: str  # "full" | "worklist" | "cached"
 
 
 def spec_fingerprint(optimizer) -> str:
@@ -707,8 +675,6 @@ class MatchEngine:
         self.index.stats = self.stats
         self._caches: dict[str, _SweepCache] = {}
         self._profiles: dict[str, SpecProfile] = {}
-        #: the shared catalog network (built lazily by ensure_network)
-        self.network = None
 
     # -- public API ----------------------------------------------------
     def sweep(
@@ -776,93 +742,8 @@ class MatchEngine:
             points=result_points, attempts=attempts, mode=mode
         )
 
-    def invalidate(self) -> None:
-        """Drop every sweep cache (next sweeps are full)."""
-        self._caches.clear()
-        if self.network is not None:
-            self.network.invalidate()
-
-    # -- the shared catalog network ------------------------------------
-    def ensure_network(self, optimizers: Sequence = ()):
-        """The catalog-wide discrimination network, built on first use.
-
-        ``optimizers`` are registered (idempotently, by spec
-        fingerprint) as catalog members; the pipeline registers the
-        whole catalog up front so the compiled trie shares every
-        prefix from the first sweep.
-        """
-        if self.network is None:
-            from repro.genesis.network import CatalogNetwork
-
-            self.network = CatalogNetwork(self)
-        if optimizers:
-            self.network.register(optimizers)
-        return self.network
-
-    def network_sweep(
-        self, optimizer, ctx: MatchContext
-    ) -> Optional[SweepResult]:
-        """Serve one optimizer's points from the shared network agenda.
-
-        Returns ``None`` when the network cannot soundly serve this
-        context (foreign graph / restrictions off) — callers fall back
-        to :meth:`sweep`.  Under ``full_check`` every served agenda is
-        shadow-compared against a naive full re-scan.
-        """
-        started = time.perf_counter()
-        candidates_before = ctx.counters.candidates
-        self.index.refresh(self.manager.structure)
-        ctx.match_index = self.index
-        network = self.ensure_network((optimizer,))
-        if not network.refresh(ctx):
-            return None
-        points, attempts = network.serve(optimizer.name)
-        self.stats.network_sweeps += 1
-        if self.full_check:
-            self._shadow_check(optimizer, ctx, points)
-        self.stats.candidates_scanned += (
-            ctx.counters.candidates - candidates_before
-        )
-        self.stats.sweep_seconds += time.perf_counter() - started
-        return SweepResult(
-            points=points, attempts=attempts, mode="network"
-        )
-
-    def sweep_all(
-        self, ctx: MatchContext, optimizers: Sequence = ()
-    ) -> dict[str, SweepResult]:
-        """The whole catalog's points from one shared network pass.
-
-        One :meth:`CatalogNetwork.refresh` classifies every dirty quad
-        once against the merged trie and re-runs only the tails whose
-        recorded support the change touched; each registered spec's
-        standing agenda is then served.  Falls back to per-spec
-        :meth:`sweep` calls when the context cannot be served soundly.
-        """
-        started = time.perf_counter()
-        candidates_before = ctx.counters.candidates
-        self.index.refresh(self.manager.structure)
-        ctx.match_index = self.index
-        network = self.ensure_network(optimizers)
-        if not network.refresh(ctx):
-            return {
-                optimizer.name: self.sweep(optimizer, ctx)
-                for optimizer in network.members()
-            }
-        results: dict[str, SweepResult] = {}
-        for optimizer in network.members():
-            points, attempts = network.serve(optimizer.name)
-            self.stats.network_sweeps += 1
-            if self.full_check:
-                self._shadow_check(optimizer, ctx, points)
-            results[optimizer.name] = SweepResult(
-                points=points, attempts=attempts, mode="network"
-            )
-        self.stats.candidates_scanned += (
-            ctx.counters.candidates - candidates_before
-        )
-        self.stats.sweep_seconds += time.perf_counter() - started
-        return results
+    #: genesis_bench/tracer.py (frozen) patches both names; plain sweep
+    network_sweep = sweep_all = sweep
 
     # -- internals -----------------------------------------------------
     def _profile(self, optimizer) -> SpecProfile:

@@ -111,15 +111,10 @@ def optimize(
         manager = AnalysisManager(working)
     if health is None:
         health = HealthLedger(quarantine_after=quarantine_after)
-    engine = engine_for(manager)
-    if options.match_mode == "network":
-        # register the whole catalog up front: the shared trie then
-        # merges every spec's prefix before the first driver sweep
-        engine.ensure_network(optimizers)
     report = PipelineReport(
         program=working,
         analysis_stats=manager.stats,
-        match_stats=engine.stats,
+        match_stats=engine_for(manager).stats,
         health=health,
     )
     for optimizer in optimizers:

@@ -118,14 +118,8 @@ class OptimizerSession:
         return session
 
     def register(self, optimizer: GeneratedOptimizer) -> None:
-        """Add a generated optimization to the session.
-
-        Registration also enrols the spec in the session engine's
-        shared discrimination network, so the compiled trie merges
-        every registered spec's prefix before the first sweep.
-        """
+        """Add a generated optimization to the session."""
         self.optimizers[optimizer.name] = optimizer
-        engine_for(self._manager).ensure_network((optimizer,))
 
     # ------------------------------------------------------------------
     # state access

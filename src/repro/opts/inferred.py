@@ -4,8 +4,8 @@ Produced by ``repro.synth.infer.emit_module`` from an
 admission-certified inference run (``genesis infer
 --emit-module``).  Every entry passed all five admission
 gates: sema/codegen, dependence legality, corpus coverage,
-the differential oracle, and the shared-network shadow
-check.  Regenerate rather than hand-edit.
+the differential oracle, and the matcher shadow check.
+Regenerate rather than hand-edit.
 """
 
 from __future__ import annotations

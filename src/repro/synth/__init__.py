@@ -9,7 +9,7 @@ mined rewrite through a template-based abstraction ladder over the quad
 IR, and **admits** a candidate only after an admission pipeline
 certifies it — GOSpeL sema, dependence-legality under the transactional
 driver, the differential oracle on randomized environments, and a
-shadow run through the shared discrimination network.  Rejected
+shadow-checked run through the worklist matcher.  Rejected
 candidates are shrunk into replayable counterexample files; admitted
 candidates are unparsed to GOSpeL source and become ordinary catalog
 citizens (``repro.opts.inferred``).

@@ -26,10 +26,11 @@ order:
    counterexample program is minimized while still exhibiting the
    divergence and written as a replayable ``!``-header repro file with
    the candidate's GOSpeL source alongside.
-5. **network** — the candidate is registered into a shared
-   discrimination network next to the standard catalog and re-run with
-   ``match_mode="network"`` under full shadow checking; a mismatch
-   between network and worklist matchers refuses it.
+5. **matcher** — the candidate is re-run on its first firing corpus
+   program under a shadow-checking matching engine
+   (``engine_for(manager, full_check=True)``): every incremental
+   worklist sweep is compared with a full re-scan, and a mismatch
+   refuses it.
 
 The pipeline reports every gate's verdict in an
 :class:`AdmissionReport`, admitted or not — rejection evidence is the
@@ -50,7 +51,6 @@ from repro.genesis.driver import DriverOptions, run_optimizer
 from repro.genesis.matching import MatchMismatchError, engine_for
 from repro.gospel.errors import GospelError
 from repro.ir.program import Program
-from repro.opts.catalog import standard_optimizers
 from repro.verify.envgen import EnvironmentGenerator, InputEnvironment
 from repro.verify.oracle import EquivalenceOracle
 from repro.verify.shrink import shrink_program
@@ -74,7 +74,7 @@ SCREEN_OPTIONS = DriverOptions(
 class GateResult:
     """One gate's verdict."""
 
-    gate: str  # "sema" | "legality" | "coverage" | "oracle" | "network"
+    gate: str  # "sema" | "legality" | "coverage" | "oracle" | "matcher"
     ok: bool
     detail: str = ""
 
@@ -192,7 +192,7 @@ class AdmissionPipeline:
         trials: int = 3,
         seed: int = 0,
         out_dir: Optional[Path] = None,
-        network_gate: bool = True,
+        matcher_gate: bool = True,
         compare_stores: bool = False,
         max_shrink_attempts: int = 300,
         client=None,
@@ -208,7 +208,7 @@ class AdmissionPipeline:
         self.trials = trials
         self.seed = seed
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.network_gate = network_gate
+        self.matcher_gate = matcher_gate
         self.compare_stores = compare_stores
         self.max_shrink_attempts = max_shrink_attempts
         self.client = client
@@ -279,8 +279,8 @@ class AdmissionPipeline:
             report.elapsed_seconds = time.perf_counter() - started
             return report
 
-        # gate 5: network -----------------------------------------------
-        if self.network_gate and not self._network_gate(
+        # gate 5: matcher -----------------------------------------------
+        if self.matcher_gate and not self._matcher_gate(
             name, optimizer, fired[0][0], report
         ):
             report.elapsed_seconds = time.perf_counter() - started
@@ -391,34 +391,25 @@ class AdmissionPipeline:
         )
         return True
 
-    def _network_gate(self, name, optimizer, program, report) -> bool:
+    def _matcher_gate(self, name, optimizer, program, report) -> bool:
         working = program.clone()
         manager = AnalysisManager(working)
         try:
-            engine = engine_for(manager, full_check=True)
-            engine.ensure_network(
-                list(standard_optimizers().values()) + [optimizer]
-            )
-            options = DriverOptions(
-                apply_all=True,
-                max_applications=16,
-                validate=True,
-                max_rollbacks=2,
-                deadline_seconds=10.0,
-                match_mode="network",
-            )
-            run_optimizer(optimizer, working, options, manager=manager)
+            # attach a shadow-checking engine; the driver's engine_for
+            # call then finds it on the manager
+            engine_for(manager, full_check=True)
+            run_optimizer(optimizer, working, SCREEN_OPTIONS, manager=manager)
         except MatchMismatchError as exc:
             report.gates.append(
-                GateResult("network", False, f"shadow mismatch: {exc}")
+                GateResult("matcher", False, f"shadow mismatch: {exc}")
             )
             return False
         except Exception as exc:
             report.gates.append(
-                GateResult("network", False, f"network error: {exc}")
+                GateResult("matcher", False, f"matcher error: {exc}")
             )
             return False
-        report.gates.append(GateResult("network", True))
+        report.gates.append(GateResult("matcher", True))
         return True
 
     # ------------------------------------------------------------------

@@ -68,7 +68,7 @@ class InferenceConfig:
     #: where rejection counterexamples and admitted ``.gospel`` files
     #: land; None keeps everything in memory
     out_dir: Optional[Path] = None
-    network_gate: bool = True
+    matcher_gate: bool = True
     #: cap on windows entering the ladder (None = no cap); capped runs
     #: report what they dropped
     max_windows: Optional[int] = None
@@ -188,7 +188,7 @@ def run_inference(
         trials=config.trials,
         seed=config.seed,
         out_dir=config.out_dir,
-        network_gate=config.network_gate,
+        matcher_gate=config.matcher_gate,
         client=client,
         programs=config.corpus_programs,
         program_size=config.corpus_size,
@@ -280,8 +280,8 @@ def emit_module(result: InferenceResult) -> str:
         "admission-certified inference run (``genesis infer",
         "--emit-module``).  Every entry passed all five admission",
         "gates: sema/codegen, dependence legality, corpus coverage,",
-        "the differential oracle, and the shared-network shadow",
-        "check.  Regenerate rather than hand-edit.",
+        "the differential oracle, and the matcher shadow check.",
+        "Regenerate rather than hand-edit.",
         '"""',
         "",
         "from __future__ import annotations",

@@ -3,9 +3,11 @@
 The load-bearing guarantee is *observational equivalence*: a pipeline
 driven by worklist sweeps must transform every program exactly as the
 paper's restart-from-top re-scan does.  The property tests here drive
-that across every catalog optimizer on random structured programs; the
-chaos test asserts the candidate index is byte-equal to a from-scratch
-rebuild after transaction rollbacks.
+that across every catalog optimizer on random structured programs, and
+compare every shipped spec's shadow-checked sweeps with uncached full
+sweeps under random edit scripts and transaction rollbacks; the chaos
+tests assert the candidate index is byte-equal to a from-scratch
+rebuild after rollbacks.
 """
 
 from __future__ import annotations
@@ -15,17 +17,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.manager import AnalysisManager
-from repro.genesis.driver import DriverOptions, run_optimizer
+from repro.genesis.driver import DriverOptions, make_context, run_optimizer
+from repro.genesis.generator import generate_optimizer
 from repro.genesis.matching import (
     MatchEngine,
     MatchIndex,
     engine_for,
     point_signature,
     profile_spec,
+    spec_fingerprint,
 )
 from repro.genesis.transaction import ProgramTransaction
 from repro.ir.quad import Opcode, Quad
 from repro.ir.types import Const, Var
+from repro.opts.catalog import standard_optimizers
+from repro.opts.extended import EXTENDED_SPECS
+from repro.opts.inferred import INFERRED_SPECS
+from repro.opts.specs import STANDARD_SPECS
 from repro.workloads.synthetic import random_program
 
 #: every catalog optimizer — the paper's ten plus the CRC variant
@@ -42,6 +50,27 @@ COMMON = dict(
 
 #: scalar pipeline used by the mixed-pass property test
 SCALAR_PASSES = ("CTP", "CFO", "CPP", "DCE", "CTP", "DCE")
+
+#: every shipped spec: the standard eleven, then extended, then inferred
+SHIPPED = (
+    tuple(sorted(STANDARD_SPECS))
+    + tuple(sorted(EXTENDED_SPECS))
+    + tuple(sorted(INFERRED_SPECS))
+)
+
+#: the catalog-wide properties are cheap per example: run more of them
+CATALOG_SETTINGS = dict(COMMON, max_examples=20)
+
+#: one program edit for :func:`_edit`: (kind, selector)
+EDITS = st.tuples(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=10_000),
+)
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    return list(standard_optimizers(SHIPPED).values())
 
 
 def _text(program) -> list[str]:
@@ -91,6 +120,106 @@ def test_worklist_matches_rescan_in_pipeline(optimizers, seed):
     for name in SCALAR_PASSES:
         _run(optimizers[name], rescan, "rescan")
     assert _text(worklist) == _text(rescan)
+
+
+# ----------------------------------------------------------------------
+# property: shadow-checked sweeps == uncached full sweeps, all 26 specs
+# ----------------------------------------------------------------------
+def _edit(program, op: int, val: int) -> None:
+    """One random-but-reproducible program edit."""
+    if op == 0:
+        qids = list(program.qids())
+        target = qids[val % len(qids)]
+        program.insert_after(
+            target,
+            Quad(
+                Opcode.ASSIGN,
+                result=Var(f"n{val % 7}"),
+                a=Const(val % 11),
+            ),
+        )
+    elif op == 1:
+        victims = [
+            quad
+            for quad in program
+            if quad.opcode is Opcode.ASSIGN and isinstance(quad.a, Const)
+        ]
+        if not victims:
+            return
+        quad = victims[val % len(victims)]
+        before = program.preimage(quad.qid)
+        quad.set_operand("a", Const(val % 13))
+        program.touch(quad.qid, before=before)
+    else:
+        victims = [quad for quad in program if not quad.is_structural()]
+        if len(victims) < 2:
+            return
+        program.remove(victims[val % len(victims)].qid)
+
+
+def _sweep_catalog(engine, catalog, program, manager) -> None:
+    for optimizer in catalog:
+        engine.sweep(optimizer, make_context(program, manager=manager))
+
+
+def _assert_catalog_matches_full_sweeps(engine, catalog, program, manager):
+    """Every spec's (shadow-checked) sweep equals, points and order, an
+    uncached full sweep on a second engine."""
+    reference = MatchEngine(manager, full_check=False)
+    for optimizer in catalog:
+        got = engine.sweep(optimizer, make_context(program, manager=manager))
+        want = reference.sweep(
+            optimizer,
+            make_context(program, manager=manager),
+            allow_worklist=False,
+        )
+        assert got.points == want.points, optimizer.name
+
+
+@settings(**CATALOG_SETTINGS)
+@given(
+    seed=st.integers(min_value=0, max_value=50_000),
+    script=st.lists(EDITS, max_size=4),
+)
+def test_catalog_sweeps_match_full_sweeps_under_edits(
+    catalog, seed, script
+):
+    program = random_program(seed, size=14, max_depth=2)
+    manager = AnalysisManager(program)
+    engine = MatchEngine(manager, full_check=True)
+    for step in [None, *script]:
+        if step is not None:
+            _edit(program, *step)
+        _assert_catalog_matches_full_sweeps(engine, catalog, program, manager)
+    assert engine.stats.shadow_checks == engine.stats.worklist_sweeps
+
+
+@settings(**CATALOG_SETTINGS)
+@given(
+    seed=st.integers(min_value=0, max_value=50_000),
+    script=st.lists(EDITS, min_size=1, max_size=3),
+)
+def test_catalog_sweeps_survive_rollback(catalog, seed, script):
+    program = random_program(seed, size=14, max_depth=2)
+    manager = AnalysisManager(program)
+    engine = MatchEngine(manager, full_check=True)
+    _sweep_catalog(engine, catalog, program, manager)  # prime every cache
+
+    txn = ProgramTransaction(program)
+    txn.begin()
+    for step in script:
+        _edit(program, *step)
+    # mid-transaction state is served (and shadow-checked) like any other
+    _sweep_catalog(engine, catalog, program, manager)
+    txn.rollback()
+
+    # post-rollback: sweeps equal a from-scratch enumeration, and the
+    # candidate index is byte-equal to a fresh rebuild
+    _assert_catalog_matches_full_sweeps(engine, catalog, program, manager)
+    fresh = MatchIndex(program)
+    fresh.refresh(manager.structure)
+    assert engine.index.fingerprint() == fresh.fingerprint()
+    assert engine.stats.shadow_checks == engine.stats.worklist_sweeps
 
 
 # ----------------------------------------------------------------------
@@ -230,8 +359,6 @@ def test_shadow_mode_checks_worklist_sweeps(optimizers):
 def test_sweep_cache_survives_regeneration_of_same_spec():
     """Two generations of the same source share a fingerprint, so the
     second sweep is served from cache despite the fresh object."""
-    from repro.genesis.driver import make_context
-    from repro.genesis.matching import spec_fingerprint
     from repro.opts.catalog import build_optimizer
 
     program = random_program(11, size=20, max_depth=1)
@@ -250,10 +377,6 @@ def test_sweep_cache_survives_regeneration_of_same_spec():
 def test_sweep_cache_invalidated_on_changed_source_same_name():
     """A re-generated spec with the same name but different source
     must not reuse the previous points."""
-    from repro.genesis.driver import make_context
-    from repro.genesis.generator import generate_optimizer
-    from repro.opts.specs import STANDARD_SPECS
-
     program = random_program(11, size=20, max_depth=1)
     manager = AnalysisManager(program)
     engine = MatchEngine(manager, full_check=False)
@@ -270,3 +393,27 @@ def test_sweep_cache_invalidated_on_changed_source_same_name():
     assert engine.stats.cached_sweeps == cached_before
     assert engine.stats.full_sweeps == full_before + 1
     assert result.points == []  # nothing assigns 424242
+
+
+def test_sweep_cache_survives_regenerated_optimizer():
+    program = random_program(4, size=12, max_depth=1)
+    manager = AnalysisManager(program)
+    engine = MatchEngine(manager, full_check=False)
+    manager._match_engine = engine
+    first = generate_optimizer(STANDARD_SPECS["CTP"], name="CTP")
+    twin = generate_optimizer(STANDARD_SPECS["CTP"], name="CTP")
+    assert first is not twin
+    assert spec_fingerprint(first) == spec_fingerprint(twin)
+
+    engine.sweep(first, make_context(program, manager=manager))
+    before = engine.stats.cached_sweeps
+    # same spec, different object identity: the cache must be served
+    result = engine.sweep(twin, make_context(program, manager=manager))
+    assert result.mode == "cached"
+    assert engine.stats.cached_sweeps == before + 1
+
+    # a *different* spec under the same name must drop the cache
+    imposter = generate_optimizer(STANDARD_SPECS["CPP"], name="CTP")
+    assert spec_fingerprint(imposter) != spec_fingerprint(first)
+    result = engine.sweep(imposter, make_context(program, manager=manager))
+    assert result.mode == "full"

@@ -35,7 +35,7 @@ def _window(before_stmts, after_stmts):
 
 @pytest.fixture(scope="module")
 def pipeline():
-    return AdmissionPipeline(network_gate=False)
+    return AdmissionPipeline(matcher_gate=False)
 
 
 # ----------------------------------------------------------------------
@@ -43,7 +43,7 @@ def pipeline():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(BROKEN_SPECS))
 def test_broken_fixture_is_refused_with_counterexample(name, tmp_path):
-    pipeline = AdmissionPipeline(network_gate=False, out_dir=tmp_path)
+    pipeline = AdmissionPipeline(matcher_gate=False, out_dir=tmp_path)
     report = pipeline.evaluate_source(name, BROKEN_SPECS[name])
     assert not report.admitted
     assert report.rejected_gate == "oracle", report.summary()
@@ -63,7 +63,7 @@ def test_candidate_counterexample_replays_divergent(tmp_path):
     up its GOSpeL source from the sibling ``reject_<name>.gospel``."""
     from repro.verify.fuzz import replay_repro
 
-    pipeline = AdmissionPipeline(network_gate=False, out_dir=tmp_path)
+    pipeline = AdmissionPipeline(matcher_gate=False, out_dir=tmp_path)
     window = _window([("a", "x", "-", "y")], [("a", 0, None, None)])
     shape = ladder(window)[0]
     report = pipeline.evaluate(shape)
@@ -78,7 +78,7 @@ def test_candidate_counterexample_replays_divergent(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(BROKEN_SPECS))
 def test_broken_fixture_counterexample_is_shrunk(name, tmp_path):
-    pipeline = AdmissionPipeline(network_gate=False, out_dir=tmp_path)
+    pipeline = AdmissionPipeline(matcher_gate=False, out_dir=tmp_path)
     report = pipeline.evaluate_source(name, BROKEN_SPECS[name])
     assert report.shrunk_statements is not None
     # the shrinker must do real work: the corpus programs are ~12
@@ -166,8 +166,8 @@ ACTION
     assert report.rejected_gate == "coverage"
 
 
-def test_network_gate_runs_when_enabled():
-    pipeline = AdmissionPipeline(network_gate=True)
+def test_matcher_gate_runs_when_enabled():
+    pipeline = AdmissionPipeline(matcher_gate=True)
     window = _window([("a", "x", "-", "x")], [("a", 0, None, None)])
     admitted = [
         report
@@ -176,4 +176,4 @@ def test_network_gate_runs_when_enabled():
     ]
     assert admitted
     for report in admitted:
-        assert any(g.gate == "network" and g.ok for g in report.gates)
+        assert any(g.gate == "matcher" and g.ok for g in report.gates)

@@ -3,9 +3,8 @@
 Also re-certifies the committed ``repro.opts.inferred`` catalog: the
 module is regenerated from a fresh deterministic inference run and
 must match what is checked in, so a stale or hand-edited entry cannot
-silently survive; and every inferred spec must compile into the
-shared discrimination network with the naive-matcher shadow check
-green.
+silently survive; and every inferred spec, run next to the standard
+catalog, must keep the worklist matcher's shadow check green.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.synth.infer import (
 )
 from repro.workloads.synthetic import random_program
 
-FAST = InferenceConfig(pairs=9, trace_programs=0, network_gate=False)
+FAST = InferenceConfig(pairs=9, trace_programs=0, matcher_gate=False)
 
 
 @pytest.fixture(scope="module")
@@ -125,23 +124,21 @@ def test_committed_specs_build_through_catalog():
         assert optimizer.name == name
 
 
-def test_committed_specs_compile_into_shared_network():
-    """Inferred specs join the standard catalog in one discrimination
-    network; full_check shadows every network match with the naive
+def test_committed_specs_pass_worklist_shadow_check():
+    """Inferred specs run after the standard catalog over one shared
+    engine; full_check shadows every worklist sweep with the naive
     matcher and raises on any disagreement."""
     catalog = list(standard_optimizers().values()) + [
         build_optimizer(name) for name in sorted(INFERRED_SPECS)
     ]
-    options = DriverOptions(
-        apply_all=True, max_applications=8, match_mode="network"
-    )
+    options = DriverOptions(apply_all=True, max_applications=8)
     for seed in (7, 17):
         program = random_program(seed, size=12)
         manager = AnalysisManager(program)
         engine = engine_for(manager, full_check=True)
-        engine.ensure_network(catalog)
         for optimizer in catalog:
             run_optimizer(optimizer, program, options, manager=manager)
+        assert engine.stats.shadow_checks == engine.stats.worklist_sweeps
 
 
 def test_emit_module_output_is_importable(result, tmp_path):

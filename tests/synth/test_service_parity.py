@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.service.client import ServiceClient
 from repro.synth.infer import InferenceConfig, run_inference
 
-CONFIG = InferenceConfig(pairs=9, trace_programs=0, network_gate=False)
+CONFIG = InferenceConfig(pairs=9, trace_programs=0, matcher_gate=False)
 
 
 def test_service_backed_inference_matches_serial():

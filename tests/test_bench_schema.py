@@ -105,3 +105,25 @@ def test_validator_rejects_non_increasing_sizes():
     assert any(
         "exceed" in problem for problem in validate_bench(curve(100, 10))
     )
+
+
+def test_host_info_stamps_commit_and_time():
+    """Records say which code wrote them, and when; both keys stay
+    optional so older files still validate."""
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    try:
+        from bench_schema import host_info, validate_bench
+    finally:
+        sys.path.pop(0)
+    host = host_info()
+    assert isinstance(host["commit"], str) and host["commit"]
+    assert host["recorded_at"].endswith("+00:00")
+    entry = [{"size": 10, "speedup": 2.0}]
+    assert validate_bench({"host": host, "sizes": entry}) == []
+    for key in ("commit", "recorded_at"):
+        assert any(
+            key in problem
+            for problem in validate_bench(
+                {"host": dict(host, **{key: ""}), "sizes": entry}
+            )
+        )
