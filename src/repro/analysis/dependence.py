@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.control_dep import compute_control_deps
 from repro.analysis.graph import DepEdge, DependenceGraph
 from repro.analysis.siteflow import SiteFlow, SiteSets
@@ -30,8 +29,8 @@ from repro.analysis.subscript import (
 )
 from repro.ir.loops import Loop, StructureTable, trip_count
 from repro.ir.program import Program
-from repro.ir.quad import Opcode
-from repro.ir.types import Affine, ArrayRef
+from repro.ir.quad import Opcode, Quad
+from repro.ir.types import Affine, ArrayRef, used_scalars
 
 #: Safety valve on direction-vector expansion per access pair.
 MAX_VECTORS_PER_PAIR = 128
@@ -71,6 +70,12 @@ class DependenceAnalyzer:
     statements, the partial result is *exactly* the subset of the full
     graph touching those names — the property the incremental
     :class:`repro.analysis.manager.AnalysisManager` splices on.
+
+    ``scope`` (partial analyses only) names the qids to collect sites
+    and array accesses from, instead of the whole program.  It must
+    include every quad that reads or writes a restricted name; quads
+    that mention none add nothing, so any such superset yields the
+    same sites, in the same order, as a whole-program scan.
     """
 
     def __init__(
@@ -78,13 +83,12 @@ class DependenceAnalyzer:
         program: Program,
         restrict_names: Optional[frozenset[str]] = None,
         restrict_ctrl_qids: Optional[frozenset[int]] = None,
-        cfg: Optional[CFG] = None,
         structure: Optional[StructureTable] = None,
+        scope: Optional[Iterable[int]] = None,
     ):
         self.program = program
-        # callers holding current-version CFG/structure (the analysis
-        # manager) pass them in; they MUST describe this exact version
-        self.cfg: CFG = cfg if cfg is not None else build_cfg(program)
+        # callers holding the current-version structure (the analysis
+        # manager) pass it in; it MUST describe this exact version
         self.structure = (
             structure if structure is not None else StructureTable(program)
         )
@@ -95,6 +99,7 @@ class DependenceAnalyzer:
         self._use_sites: list[_Site] = []
         self._defs_of_var: dict[str, list[_Site]] = {}
         self._uses_of_var: dict[str, list[_Site]] = {}
+        self._accesses: dict[str, list[_ArrayAccess]] = {}
         self._site_flow_cache: Optional[SiteFlow] = None
         # memoization for the array-pair tests: all of these are pure
         # functions of values that cannot change within one analysis
@@ -106,10 +111,16 @@ class DependenceAnalyzer:
         self._rename_cache: dict[tuple, tuple] = {}
         self._pair_test_cache: dict[tuple, Optional[tuple]] = {}
         self._vector_cache: dict[tuple, list[tuple[str, ...]]] = {}
-        self._collect_scalar_sites()
-
-    def _wanted(self, name: str) -> bool:
-        return self._restrict_names is None or name in self._restrict_names
+        if scope is None:
+            self._collect_sites(enumerate(program))
+        else:
+            position = program.position
+            self._collect_sites(
+                (index, program.quad(qid))
+                for index, qid in sorted(
+                    (position(qid), qid) for qid in scope
+                )
+            )
 
     # ------------------------------------------------------------------
     def analyze(self) -> DependenceGraph:
@@ -122,41 +133,60 @@ class DependenceAnalyzer:
     # ------------------------------------------------------------------
     # site collection
     # ------------------------------------------------------------------
-    def _collect_scalar_sites(self) -> None:
-        variables = sorted(
-            name for name in self.program.scalar_names() if self._wanted(name)
-        )
-        wanted = None if self._restrict_names is None else set(variables)
-        # synthetic boundary definitions model "defined before entry",
-        # which makes upward exposure at loop heads visible in the
-        # acyclic reaching sets
-        for var in variables:
-            site = _Site(
-                index=len(self._def_sites), position=-1, qid=-1, var=var,
-                pos="result",
-            )
-            self._def_sites.append(site)
-            self._defs_of_var.setdefault(var, []).append(site)
-        for position, quad in enumerate(self.program):
+    def _collect_sites(self, quads: Iterable[tuple[int, Quad]]) -> None:
+        """Scalar sites and array accesses of the wanted names, from
+        ``(position, quad)`` pairs in program order."""
+        wanted = self._restrict_names
+        defs: list[tuple[int, int, str, str]] = []
+        uses: list[tuple[int, int, str, str]] = []
+        accesses = self._accesses
+        for position, quad in quads:
+            qid = quad.qid
             var = quad.defined_scalar()
             if var is not None and (wanted is None or var in wanted):
                 def_pos = "a" if quad.opcode is Opcode.READ else "result"
-                site = _Site(
-                    index=len(self._def_sites), position=position,
-                    qid=quad.qid, var=var, pos=def_pos,
-                )
-                self._def_sites.append(site)
-                self._defs_of_var.setdefault(var, []).append(site)
+                defs.append((position, qid, var, def_pos))
             for pos, operand in quad.use_positions():
-                for name in sorted(_scalar_uses_at(operand)):
-                    if wanted is not None and name not in wanted:
-                        continue
-                    site = _Site(
-                        index=len(self._use_sites), position=position,
-                        qid=quad.qid, var=name, pos=pos,
+                for name in sorted(used_scalars(operand)):
+                    if wanted is None or name in wanted:
+                        uses.append((position, qid, name, pos))
+            written = quad.defined_array()
+            if written is not None and (
+                wanted is None or written.name in wanted
+            ):
+                accesses.setdefault(written.name, []).append(
+                    _ArrayAccess(position, qid, "result", written, True)
+                )
+            for pos, ref in quad.used_array_refs():
+                if wanted is None or ref.name in wanted:
+                    accesses.setdefault(ref.name, []).append(
+                        _ArrayAccess(position, qid, pos, ref, False)
                     )
-                    self._use_sites.append(site)
-                    self._uses_of_var.setdefault(name, []).append(site)
+        # synthetic boundary definitions model "defined before entry",
+        # which makes upward exposure at loop heads visible in the
+        # acyclic reaching sets; they take the lowest indices, one per
+        # variable with a site, in name order
+        variables = sorted(
+            {entry[2] for entry in defs} | {entry[2] for entry in uses}
+        )
+        for var in variables:
+            self._add_site(self._def_sites, self._defs_of_var, -1, -1, var,
+                           "result")
+        for entry in defs:
+            self._add_site(self._def_sites, self._defs_of_var, *entry)
+        for entry in uses:
+            self._add_site(self._use_sites, self._uses_of_var, *entry)
+
+    @staticmethod
+    def _add_site(
+        sites: list[_Site], by_var: dict[str, list[_Site]],
+        position: int, qid: int, var: str, pos: str,
+    ) -> None:
+        site = _Site(
+            index=len(sites), position=position, qid=qid, var=var, pos=pos
+        )
+        sites.append(site)
+        by_var.setdefault(var, []).append(site)
 
     # ------------------------------------------------------------------
     # scalar dependences
@@ -187,7 +217,8 @@ class DependenceAnalyzer:
                         enddo = self.program.position(loop.end_qid)
                         needed.setdefault(enddo, set()).add(site.var)
             flow = SiteFlow(
-                self.program, self._def_sites, self._use_sites, needed
+                self.program, self._def_sites, self._use_sites, needed,
+                self.structure,
             )
             self._site_flow_cache = flow
         return flow
@@ -366,20 +397,7 @@ class DependenceAnalyzer:
     # array dependences
     # ------------------------------------------------------------------
     def _array_dependences(self) -> None:
-        accesses: dict[str, list[_ArrayAccess]] = {}
-        for position, quad in enumerate(self.program):
-            written = quad.defined_array()
-            if written is not None and self._wanted(written.name):
-                accesses.setdefault(written.name, []).append(
-                    _ArrayAccess(position, quad.qid, "result", written, True)
-                )
-            for pos, ref in quad.used_array_refs():
-                if not self._wanted(ref.name):
-                    continue
-                accesses.setdefault(ref.name, []).append(
-                    _ArrayAccess(position, quad.qid, pos, ref, False)
-                )
-        for name, access_list in accesses.items():
+        for name, access_list in self._accesses.items():
             for src in access_list:
                 for dst in access_list:
                     if src is dst:
@@ -552,12 +570,6 @@ class DependenceAnalyzer:
                 self.graph.add(
                     DepEdge(kind="ctrl", src=guard, dst=qid, var="")
                 )
-
-
-def _scalar_uses_at(operand: object) -> frozenset[str]:
-    from repro.ir.types import used_scalars
-
-    return used_scalars(operand)
 
 
 def _lcv_name(head_quad) -> str:

@@ -13,7 +13,7 @@ loop).  Generated optimizer code queries the graph through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.analysis.subscript import matches_direction_pattern
 
@@ -84,31 +84,28 @@ class DependenceGraph:
     def spliced(
         cls,
         old: "DependenceGraph",
-        keep: Callable[[DepEdge], bool],
+        kept: list[DepEdge],
+        removed: Sequence[DepEdge],
         fresh: Sequence[DepEdge],
     ) -> "DependenceGraph":
-        """A new graph holding ``old``'s edges passing ``keep`` plus
-        the ``fresh`` edges — the analysis manager's incremental splice.
+        """A new graph holding ``kept`` plus the ``fresh`` edges — the
+        analysis manager's incremental splice.
 
-        Bulk path: retained edges were already unique inside ``old``,
-        so they skip :meth:`add`'s per-edge dedup, and the src/dst
-        indexes are copied at the *key* level — only buckets that lost
-        an edge are filtered, every other bucket list is shared with
-        ``old`` (graphs are immutable once published; the only writer
-        is this constructor, which copies a shared bucket before
-        appending to it).  ``fresh`` edges still go through the dedup
-        set, so a ``keep`` predicate that fails to drop a recomputed
-        edge degrades to a duplicate-ignore, not a corrupt graph.
+        ``kept`` and ``removed`` partition ``old.edges``, with ``kept``
+        in ``old``'s order; the new graph adopts the ``kept`` list as
+        its own edge list.  Retained edges were already unique inside
+        ``old``, so they skip :meth:`add`'s per-edge dedup, and the
+        src/dst indexes are copied at the *key* level — only buckets
+        that lost an edge are filtered, every other bucket list is
+        shared with ``old`` (graphs are immutable once published; the
+        only writer is this constructor, which copies a shared bucket
+        before appending to it).  ``fresh`` edges still go through the
+        dedup set, so a partition that fails to drop a recomputed edge
+        degrades to a duplicate-ignore, not a corrupt graph.
         """
         graph = cls()
         graph.notes = list(old.notes)
-        removed: list[DepEdge] = []
-        edges = graph.edges
-        for edge in old.edges:
-            if keep(edge):
-                edges.append(edge)
-            else:
-                removed.append(edge)
+        edges = graph.edges = kept
         graph._seen = old._seen.difference(removed)
         by_src = dict(old._by_src)
         by_dst = dict(old._by_dst)

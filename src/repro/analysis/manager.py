@@ -18,7 +18,10 @@ analysis the dominant cost of multi-pass pipelines.  The
   of variable and array names it reads or writes, drops only the edges
   involving those names (plus control edges into touched statements),
   re-runs a *name-restricted* :class:`DependenceAnalyzer`, and splices
-  the fresh edges into the retained graph.
+  the fresh edges into the retained graph.  A ``name -> qids`` index
+  scopes that analyzer to the quads mentioning an affected name, so a
+  refresh costs what the edit touched rather than what the program
+  holds (the structure table and the edge partition stay O(n)).
 
 Why the splice is exact, not approximate: scalar dependences are
 solved with per-variable gen/kill bit masks, so the dataflow solution
@@ -35,8 +38,9 @@ to a full rebuild.
 
 Set ``REPRO_ANALYSIS_CHECK=1`` (or construct with ``full_check=True``)
 to shadow every incremental update with a from-scratch rebuild and
-assert edge-set equality — the debug mode the property tests and CI
-use to prove the two paths agree.
+assert edge-set equality, and to compare the maintained name index
+with a fresh scan — the debug mode the property tests and CI use to
+prove the two paths agree.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ from repro.ir.quad import STRUCTURAL_OPS, Quad
 ENV_FULL_CHECK = "REPRO_ANALYSIS_CHECK"
 
 #: Above this many affected names a full rebuild is assumed cheaper
-#: than a restricted one (the restricted analyzer still pays the O(n)
-#: site scan and CFG build; its win is the per-name pair work).
+#: than a restricted one: the scope then spans most of the program,
+#: and the restricted path adds the O(E) edge partition and the index
+#: upkeep on top of the analysis a rebuild would run anyway.
 _INCREMENTAL_NAME_CAP = 48
 
 #: Above this many pending changes, batching has lost its locality and
@@ -182,6 +187,9 @@ class AnalysisManager:
         self._graph: Optional[DependenceGraph] = None
         self._graph_version = -1
         self._quad_infos: dict[int, _QuadInfo] = {}
+        #: name -> qids of the quads whose ``_QuadInfo.names`` hold it;
+        #: kept in step with ``_quad_infos`` (entries may go empty)
+        self._name_index: dict[str, set[int]] = {}
         #: per-refresh dependence deltas: (from_version, to_version,
         #: the changed edges as (kind, src, dst) triples, or None when
         #: the refresh could not produce an exact diff).  Consumed by
@@ -276,7 +284,11 @@ class AnalysisManager:
             graph, delta = self._incremental_update(*plan)
             if self.full_check:
                 self._shadow_check(graph)
+            # only after the splice: a refresh that raised above must
+            # not leave the snapshot ahead of the graph version
             self._snapshot_quads(touched=plan[1])
+            if self.full_check:
+                self._check_index()
         self._graph = graph
         self._graph_version = self.program.version
         self._record_delta(old_version, self._graph_version, delta)
@@ -288,7 +300,7 @@ class AnalysisManager:
     def _full_rebuild(self) -> DependenceGraph:
         self.stats.full_rebuilds += 1
         return DependenceAnalyzer(
-            self.program, cfg=self.cfg(), structure=self.structure()
+            self.program, structure=self.structure()
         ).analyze()
 
     def _plan_update(
@@ -324,6 +336,11 @@ class AnalysisManager:
         """Drop edges incident to the touched region, recompute them
         with a name-restricted analyzer, splice into the retained rest.
 
+        The analyzer only scans its scope: the index entries of the
+        affected names (as they stood before this edit) plus the
+        touched quads.  An untouched quad kept its names, so the scope
+        holds every quad that now mentions an affected name.
+
         Also returns the delta: every edge — as a ``(kind, src, dst)``
         triple — that genuinely differs between the old and new graphs.
         Most recomputed edges come back identical, so diffing the
@@ -335,45 +352,40 @@ class AnalysisManager:
         assert self._graph is not None
         program = self.program
         contains = program.contains
-        removed: set[DepEdge] = set()
-
-        def keep(edge: DepEdge) -> bool:
-            if edge.kind == "ctrl":
-                # control edges are recomputed for touched sinks; the
-                # guards themselves are markers, so an incremental
-                # update never changes an untouched sink's guard set
-                if edge.dst in touched:
-                    removed.add(edge)
-                    return False
-            elif edge.var in affected:
-                removed.add(edge)
-                return False
-            # drop edges with a deleted endpoint
-            if contains(edge.src) and contains(edge.dst):
-                return True
-            removed.add(edge)
-            return False
-
+        index = self._name_index
+        scope = {qid for qid in touched if contains(qid)}
+        for name in affected:
+            scope.update(qid for qid in index.get(name, ()) if contains(qid))
         partial = DependenceAnalyzer(
             program,
             restrict_names=affected,
             restrict_ctrl_qids=frozenset(
                 qid for qid in touched if contains(qid)
             ),
-            cfg=self.cfg(),
             structure=self.structure(),
+            scope=scope,
         ).analyze()
-        # retained and recomputed edge sets are disjoint (data edges
-        # partition by variable name; ctrl edges by touched sink), so
-        # the splice can adopt the retained edges in bulk
-        fresh = DependenceGraph.spliced(self._graph, keep, partial.edges)
+        # data edges partition by variable name, ctrl edges by touched
+        # sink.  A deleted quad's edges all go: its names are affected,
+        # and deleting a guard (a marker) forces a full rebuild.
+        kept: list[DepEdge] = []
+        removed: list[DepEdge] = []
+        keep, drop = kept.append, removed.append
+        for edge in self._graph.edges:
+            if edge.kind == "ctrl":
+                (drop if edge.dst in touched else keep)(edge)
+            else:
+                (drop if edge.var in affected else keep)(edge)
+        fresh = DependenceGraph.spliced(
+            self._graph, kept, removed, partial.edges
+        )
         for note in partial.notes:
             fresh.add_note(note)
         self.stats.edges_retained += len(fresh.edges) - len(partial.edges)
         self.stats.edges_recomputed += len(partial.edges)
         return fresh, frozenset(
             (edge.kind, edge.src, edge.dst)
-            for edge in removed.symmetric_difference(partial.edges)
+            for edge in set(removed).symmetric_difference(partial.edges)
         )
 
     def _shadow_check(self, incremental: DependenceGraph) -> None:
@@ -392,23 +404,67 @@ class AnalysisManager:
             f"  extra ({len(extra)}): {extra[:10]}"
         )
 
+    def _check_index(self) -> None:
+        """Assert the maintained name index equals a fresh scan."""
+        want: dict[str, set[int]] = {}
+        for quad in self.program:
+            for name in _quad_names(quad):
+                want.setdefault(name, set()).add(quad.qid)
+        got = {name: qids for name, qids in self._name_index.items() if qids}
+        if got == want:
+            return
+        drift = sorted(
+            name for name in got.keys() | want.keys()
+            if got.get(name) != want.get(name)
+        )
+        # a drifted index would mis-scope every later refresh
+        self.invalidate()
+        raise IncrementalMismatchError(
+            "maintained name index diverged from a fresh scan at program "
+            f"version {self.program.version}: {len(drift)} name(s) "
+            f"differ: {drift[:10]}"
+        )
+
     def _snapshot_quads(
         self, touched: Optional[frozenset[int]] = None
     ) -> None:
         """Record qid -> (marker?, names) for the next plan's old-state
-        lookup.  After an incremental splice only the touched quads can
-        have changed (qids are never reused), so only they re-snapshot.
+        lookup, and the name index the next refresh is scoped by.
+        After an incremental splice only the touched quads can have
+        changed (qids are never reused), so only they re-snapshot.
         """
         if touched is None:
             self._quad_infos = {
                 quad.qid: _quad_info(quad) for quad in self.program
             }
+            index: dict[str, set[int]] = {}
+            for qid, info in self._quad_infos.items():
+                for name in info.names:
+                    index.setdefault(name, set()).add(qid)
+            self._name_index = index
             return
         for qid in touched:
+            old = self._quad_infos.pop(qid, None)
+            new_names: frozenset[str] = frozenset()
             if self.program.contains(qid):
-                self._quad_infos[qid] = _quad_info(self.program.quad(qid))
-            else:
-                self._quad_infos.pop(qid, None)
+                info = self._quad_infos[qid] = _quad_info(
+                    self.program.quad(qid)
+                )
+                new_names = info.names
+            self._reindex(
+                qid, old.names if old is not None else frozenset(), new_names
+            )
+
+    def _reindex(
+        self, qid: int, old: frozenset[str], new: frozenset[str]
+    ) -> None:
+        """Move ``qid`` from its ``old`` names' index entries to its
+        ``new`` names' entries."""
+        index = self._name_index
+        for name in old - new:
+            index[name].discard(qid)
+        for name in new - old:
+            index.setdefault(name, set()).add(qid)
 
     # ------------------------------------------------------------------
     # dependence deltas (consumed by the matching engine)
@@ -463,6 +519,7 @@ class AnalysisManager:
         self._graph = None
         self._graph_version = -1
         self._quad_infos.clear()
+        self._name_index.clear()
         self._deltas.clear()
 
 

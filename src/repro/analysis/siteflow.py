@@ -22,6 +22,14 @@ O(n · 2^depth) worst case over the whole program, effectively linear
 for real nesting depths, with memory proportional to the variables
 and recorded query points rather than sites × positions.
 
+The walk is also *region-pruned*: it visits only the positions that
+hold a site or a query point, plus the markers of every region that
+encloses or is headed by one (read from the
+:class:`~repro.ir.loops.StructureTable`).  A region with no such
+position inside applies only identity transfers, so skipping it is
+exact, and a name-restricted analysis walks a small fraction of the
+program.
+
 Both site flavours are solved in one pass over the program:
 
 * **definition sites** — a definition of ``v`` kills all other defs of
@@ -39,7 +47,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Protocol
 
-from repro.ir.program import IRError, Program
+from repro.ir.loops import StructureTable
+from repro.ir.program import Program
 from repro.ir.quad import LOOP_HEADS, Opcode
 
 _EMPTY: frozenset[int] = frozenset()
@@ -83,7 +92,8 @@ class SiteFlow:
     the walk records the IN environment (the state *before* the quad's
     own effect) for those (position, variable) pairs in all four
     solutions: ``def_full``, ``def_acyclic``, ``use_full``,
-    ``use_acyclic``.
+    ``use_acyclic``.  ``structure`` must describe the program's current
+    version; its regions bound the walk.
     """
 
     def __init__(
@@ -92,17 +102,12 @@ class SiteFlow:
         def_sites: Iterable[SiteLike],
         use_sites: Iterable[SiteLike],
         needed: dict[int, Iterable[str]],
+        structure: StructureTable,
     ) -> None:
         self.def_full = SiteSets()
         self.def_acyclic = SiteSets()
         self.use_full = SiteSets()
         self.use_acyclic = SiteSets()
-
-        self._ops: list[Opcode] = []
-        self._enddo_of: dict[int, int] = {}
-        self._else_of: dict[int, Optional[int]] = {}
-        self._endif_of: dict[int, int] = {}
-        self._scan_structure(program)
 
         # per-position transfers, derived from the site lists so that a
         # restricted (partial) analysis only ever sees restricted sites
@@ -127,8 +132,14 @@ class SiteFlow:
             position: tuple(names) for position, names in needed.items()
         }
 
+        self._plan_walk(
+            program,
+            structure,
+            self._def_at.keys() | self._uses_at.keys() | self._needed.keys(),
+        )
+
         self._variables = variables
-        size = len(self._ops)
+        size = len(self._order)
         for cyclic, def_out, use_out in (
             (True, self.def_full, self.use_full),
             (False, self.def_acyclic, self.use_acyclic),
@@ -143,30 +154,65 @@ class SiteFlow:
             self._walk_top(size)
 
     # ------------------------------------------------------------------
-    def _scan_structure(self, program: Program) -> None:
-        stack: list[tuple[str, int]] = []
-        for position, quad in enumerate(program):
+    def _plan_walk(
+        self, program: Program, structure: StructureTable,
+        positions: Iterable[int],
+    ) -> None:
+        """Order the positions to visit and index each region by them.
+
+        ``positions`` are those holding a site or a query point.  The
+        regions to enter are every region enclosing one of them (its
+        guards in ``structure.controllers``, which for an ``ENDDO``,
+        ``ELSE`` or ``ENDIF`` include the marker's own region) and every
+        region headed by one.  Any other region holds no site of a
+        tracked variable, so its transfer is the identity and the walk
+        steps over it.
+        """
+        kinds: dict[int, Opcode] = {}
+        regions: set[int] = set()
+        controllers = structure.controllers
+        for position in positions:
+            quad = program[position]
             op = quad.opcode
-            self._ops.append(op)
-            if op in LOOP_HEADS:
-                stack.append(("do", position))
-            elif op is Opcode.ENDDO:
-                if not stack or stack[-1][0] != "do":
-                    raise IRError(f"unmatched ENDDO at position {position}")
-                self._enddo_of[stack.pop()[1]] = position
-            elif op is Opcode.IF:
-                stack.append(("if", position))
-                self._else_of[position] = None
-            elif op is Opcode.ELSE:
-                if not stack or stack[-1][0] != "if":
-                    raise IRError(f"ELSE outside IF at position {position}")
-                self._else_of[stack[-1][1]] = position
-            elif op is Opcode.ENDIF:
-                if not stack or stack[-1][0] != "if":
-                    raise IRError(f"unmatched ENDIF at position {position}")
-                self._endif_of[stack.pop()[1]] = position
-        if stack:
-            raise IRError("unterminated structured region")
+            kinds[position] = op
+            regions.update(controllers[quad.qid])
+            if op in LOOP_HEADS or op is Opcode.IF:
+                regions.add(quad.qid)
+        loops: list[tuple[int, int]] = []
+        conditionals: list[tuple[int, Optional[int], int]] = []
+        for guard in regions:
+            head = program.position(guard)
+            loop = structure.loops.get(guard)
+            if loop is not None:
+                kinds[head] = program.quad(guard).opcode
+                end = program.position(loop.end_qid)
+                kinds[end] = Opcode.ENDDO
+                loops.append((head, end))
+                continue
+            conditional = structure.conditionals[guard]
+            kinds[head] = Opcode.IF
+            orelse = None
+            if conditional.else_qid is not None:
+                orelse = program.position(conditional.else_qid)
+                kinds[orelse] = Opcode.ELSE
+            endif = program.position(conditional.endif_qid)
+            kinds[endif] = Opcode.ENDIF
+            conditionals.append((head, orelse, endif))
+        order = sorted(kinds)
+        slot = {position: index for index, position in enumerate(order)}
+        #: the positions the walk visits, in program order; the walk
+        #: runs over indices into this list, and the region maps below
+        #: take and give such indices
+        self._order = order
+        self._ops = [kinds[position] for position in order]
+        self._enddo_of = {slot[head]: slot[end] for head, end in loops}
+        self._else_of = {
+            slot[head]: None if orelse is None else slot[orelse]
+            for head, orelse, _ in conditionals
+        }
+        self._endif_of = {
+            slot[head]: slot[endif] for head, _, endif in conditionals
+        }
 
     # ------------------------------------------------------------------
     # environment primitives
@@ -237,51 +283,56 @@ class SiteFlow:
         every top-level statement: no enclosing region exists to look
         back past them, and dropping the entries keeps the log bounded
         by the largest single region instead of the whole program."""
-        position = 0
+        index = 0
         ops = self._ops
-        while position < size:
-            op = ops[position]
+        order = self._order
+        while index < size:
+            op = ops[index]
             if op in LOOP_HEADS:
-                position = self._walk_loop(position)
+                index = self._walk_loop(index)
             elif op is Opcode.IF:
-                position = self._walk_if(position)
+                index = self._walk_if(index)
             else:
+                position = order[index]
                 self._record(position)
                 self._apply(position)
-                position += 1
+                index += 1
             del self._log[:]
 
     def _walk(self, start: int, stop: int) -> None:
-        position = start
+        index = start
         ops = self._ops
-        while position < stop:
-            op = ops[position]
+        order = self._order
+        while index < stop:
+            op = ops[index]
             if op in LOOP_HEADS:
-                position = self._walk_loop(position)
+                index = self._walk_loop(index)
             elif op is Opcode.IF:
-                position = self._walk_if(position)
+                index = self._walk_if(index)
             else:
+                position = order[index]
                 self._record(position)
                 self._apply(position)
-                position += 1
+                index += 1
 
     def _walk_loop(self, head: int) -> int:
         enddo = self._enddo_of[head]
+        position = self._order[head]
         if self._cyclic:
             # phase 1: one pass through DO + body gives f_cycle(IN_pre);
             # IN_fix = IN_pre ∪ f_cycle(IN_pre) closes the back edge
             # (gen/kill transfers make a second application a no-op)
             mark = len(self._log)
-            self._apply(head)
+            self._apply(position)
             self._walk(head + 1, enddo)
             self._merge_since(mark)
         # exact pass from the (fixed) loop-entry environment; interior
         # recordings from phase 1 are overwritten here
-        self._record(head)
-        self._apply(head)
+        self._record(position)
+        self._apply(position)
         mark = len(self._log)
         self._walk(head + 1, enddo)
-        self._record(enddo)
+        self._record(self._order[enddo])
         # zero-trip path: the DO's skip edge joins the loop's exit
         self._merge_since(mark)
         return enddo + 1
@@ -289,18 +340,19 @@ class SiteFlow:
     def _walk_if(self, guard: int) -> int:
         endif = self._endif_of[guard]
         orelse = self._else_of[guard]
-        self._record(guard)
-        self._apply(guard)
+        order = self._order
+        self._record(order[guard])
+        self._apply(order[guard])
         if orelse is None:
             mark = len(self._log)
             self._walk(guard + 1, endif)
             # guard-false path falls straight through to ENDIF
             self._merge_since(mark)
-            self._record(endif)
+            self._record(order[endif])
             return endif + 1
         mark = len(self._log)
         self._walk(guard + 1, orelse)
-        self._record(orelse)  # the ELSE marker sees the THEN branch's out
+        self._record(order[orelse])  # the ELSE sees the THEN branch's out
         then_out = {
             key: self._env[key[0]][key[1]] for key in self._firsts(mark)
         }
@@ -318,5 +370,5 @@ class SiteFlow:
             current = self._env[key[0]][key[1]]
             if not (base <= current):
                 self._set(key[0], key[1], base | current)
-        self._record(endif)  # the join point: both branch outs merged
+        self._record(order[endif])  # the join point: both branch outs merged
         return endif + 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.ir.types import (
@@ -133,8 +133,8 @@ class Quad:
     source_line: Optional[int] = None
 
     #: cached content hash — never compared, shown, or carried through
-    #: :func:`dataclasses.replace` (copies recompute); invalidated
-    #: through the :meth:`Program.touch`/``replace`` pre-image flow
+    #: :meth:`copy` (copies recompute); invalidated through the
+    #: :meth:`Program.touch`/``replace`` pre-image flow
     _chash: Optional[bytes] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -306,8 +306,20 @@ class Quad:
     # misc
     # ------------------------------------------------------------------
     def copy(self) -> "Quad":
-        """A field-for-field copy with *no* assigned qid."""
-        return replace(self, qid=-1)
+        """A field-for-field copy with *no* assigned qid.
+
+        Copies the instance dict instead of re-running ``__init__``
+        (snapshots copy every quad of a program), but still runs
+        ``__post_init__``, so a quad mutated into a malformed state
+        raises here just as constructing it would.
+        """
+        duplicate = object.__new__(type(self))
+        fields = duplicate.__dict__
+        fields.update(self.__dict__)
+        fields["qid"] = -1
+        fields["_chash"] = None
+        duplicate.__post_init__()
+        return duplicate
 
     def __str__(self) -> str:
         op = self.opcode

@@ -2,8 +2,8 @@
 
 Covers the generic product cache, the change-log plumbing on
 ``Program``, the incremental dependence splice (against full rebuilds),
-the full-rebuild fallbacks, the shadow-check debug mode and the stats
-counters.
+the full-rebuild fallbacks, the shadow-check debug mode (graph and
+name index) and the stats counters.
 """
 
 import pytest
@@ -14,10 +14,17 @@ from repro.analysis.manager import (
     IncrementalMismatchError,
     manager_for,
 )
+from repro.genesis.driver import DriverOptions
+from repro.genesis.pipeline import optimize
 from repro.ir.builder import IRBuilder
 from repro.ir.program import Program
 from repro.ir.quad import Opcode, Quad
 from repro.ir.types import Const, Var
+from repro.opts.catalog import standard_optimizers
+from repro.workloads.synthetic import random_program
+
+#: The benchmarked ten-pass scalar pipeline.
+PIPELINE = ("CTP", "CFO", "CPP", "DCE") * 2 + ("CTP", "DCE")
 
 
 def straight_line() -> Program:
@@ -163,6 +170,38 @@ class TestIncrementalUpdate:
         manager.graph()
         assert manager.stats.edges_retained > 0
 
+    def test_refresh_builds_no_cfg(self):
+        program = loopy()
+        manager = AnalysisManager(program)
+        manager.graph()
+        program.touch(program[1].qid)
+        manager.graph()
+        assert "cfg" not in manager.stats.misses
+
+    def test_scope_skips_quads_without_affected_names(self, monkeypatch):
+        program = loopy()
+        # no shadow check: its full rebuild scans every quad
+        manager = AnalysisManager(program, full_check=False)
+        manager.graph()
+        scanned = []
+        original = Quad.use_positions
+
+        def spy(quad):
+            scanned.append(quad.qid)
+            return original(quad)
+
+        monkeypatch.setattr(Quad, "use_positions", spy)
+        target = next(q for q in program if q.opcode is Opcode.ADD)
+        program.touch(target.qid)  # touches only ``s``
+        manager.graph()
+        monkeypatch.undo()
+        mentions_s = {
+            q.qid for q in program
+            if "s" in q.used_scalar_names() or q.defined_scalar() == "s"
+        }
+        assert set(scanned) == mentions_s
+        assert_matches_full(manager)
+
     def test_batched_changes_one_update(self):
         program = straight_line()
         manager = AnalysisManager(program)
@@ -241,6 +280,59 @@ class TestShadowCheck:
         with pytest.raises(IncrementalMismatchError):
             manager.graph()
         assert stale is not None
+
+    def test_index_drift_raises(self, monkeypatch):
+        program = straight_line()
+        manager = AnalysisManager(program, full_check=True)
+        manager.graph()
+        skipped = []
+        original = manager._reindex
+
+        def skip_once(qid, old, new):
+            if skipped:
+                original(qid, old, new)
+            else:
+                skipped.append(qid)
+
+        monkeypatch.setattr(manager, "_reindex", skip_once)
+        program.insert_at(1, Quad(Opcode.ASSIGN, result=Var("w"),
+                                  a=Var("x")))
+        with pytest.raises(IncrementalMismatchError, match="name index"):
+            manager.graph()
+        assert skipped
+        # the drifted index was dropped: the next refresh rebuilds
+        assert_matches_full(manager)
+        assert manager.stats.full_rebuilds == 2
+
+    def test_index_tracks_edits(self):
+        program = loopy()
+        manager = AnalysisManager(program, full_check=True)
+        manager.graph()
+        store = next(q for q in program if q.defined_array() is not None)
+        program.remove(store.qid)
+        program.insert_at(1, Quad(Opcode.ASSIGN, result=Var("t"),
+                                  a=Var("n")))
+        manager.graph()
+        assert store.qid not in manager._name_index["a"]
+        assert manager.stats.shadow_checks == 1
+
+
+@pytest.fixture(scope="module")
+def pipeline_passes():
+    optimizers = standard_optimizers(tuple(sorted(set(PIPELINE))))
+    return [optimizers[name] for name in PIPELINE]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_pipeline_refreshes_match_full_rebuilds(pipeline_passes, seed):
+    """The benchmarked ten-pass pipeline, every incremental refresh
+    shadowed by a full rebuild and a fresh index scan."""
+    program = random_program(seed, size=40)
+    manager = AnalysisManager(program, full_check=True)
+    optimize(program, pipeline_passes, DriverOptions(apply_all=True),
+             in_place=True, manager=manager)
+    stats = manager.stats
+    assert stats.shadow_checks == stats.incremental_updates > 0
 
 
 class TestManagerFor:

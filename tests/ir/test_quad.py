@@ -140,6 +140,37 @@ class TestCopyAndStr:
         quad.qid = 42
         assert quad.copy().qid == -1
 
+    def test_copy_is_equal_independent_and_unhashed(self):
+        quad = binop(Var("x"), Var("y"), Opcode.ADD, Const(2))
+        quad.qid = 7
+        quad.source_line = 3
+        quad.content_hash()
+        copy = quad.copy()
+        assert copy == Quad(Opcode.ADD, result=Var("x"), a=Var("y"),
+                            b=Const(2), source_line=3)
+        assert copy._chash is None
+        copy.a = Var("z")
+        assert quad.a == Var("y")
+
+    def test_copy_restores_loop_step_default(self):
+        head = Quad(Opcode.DO, result=Var("i"), a=Const(1), b=Const(5))
+        head.step = None
+        assert head.copy().step == Const(1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("relop", None),  # an IF without a comparison
+        ("result", Const(1)),  # a DO without a control variable
+    ])
+    def test_copy_of_malformed_quad_raises(self, field, value):
+        quad = (
+            Quad(Opcode.IF, a=Var("x"), b=Const(0), relop="<")
+            if field == "relop"
+            else Quad(Opcode.DO, result=Var("i"), a=Const(1), b=Const(5))
+        )
+        setattr(quad, field, value)
+        with pytest.raises(ValueError):
+            quad.copy()
+
     def test_str_assign(self):
         assert str(assign(Var("x"), Const(1))) == "x := 1"
 
