@@ -39,7 +39,7 @@ import pytest
 from bench_schema import host_info, write_bench
 from repro.frontend.unparse import unparse_program
 from repro.genesis.driver import DriverOptions
-from repro.service import ServiceClient
+from repro.service import ServiceClient, run_batch
 from repro.service.job import Job
 from repro.workloads.synthetic import random_program
 
@@ -79,9 +79,9 @@ def _batch(size: int = SIZE, seeds=SEEDS) -> list[Job]:
     return jobs
 
 
-def _run_batch(client: ServiceClient, jobs: list[Job]) -> tuple[float, list]:
+def _timed(client: ServiceClient, jobs: list[Job]) -> tuple[float, list]:
     start = time.perf_counter()
-    results = client.run_batch(jobs, timeout=600.0)
+    results = run_batch(client, jobs, timeout=600.0)
     elapsed = time.perf_counter() - start
     assert all(result.ok for result in results), [
         str(result) for result in results if not result.ok
@@ -95,16 +95,16 @@ def test_service_throughput():
     with ServiceClient(
         backend="inprocess", max_workers=1, cache_capacity=0
     ) as client:
-        serial_s, serial_results = _run_batch(client, _batch())
+        serial_s, serial_results = _timed(client, _batch())
 
     with ServiceClient(
         backend="process", max_workers=WORKERS, cache_capacity=0
     ) as client:
-        parallel_s, parallel_results = _run_batch(client, _batch())
+        parallel_s, parallel_results = _timed(client, _batch())
 
     with ServiceClient(backend="inprocess", max_workers=1) as client:
-        cold_s, _ = _run_batch(client, _batch())
-        warm_s, warm_results = _run_batch(client, _batch())
+        cold_s, _ = _timed(client, _batch())
+        warm_s, warm_results = _timed(client, _batch())
         warm_stats = client.stats
 
     # the disk tier: a fresh service lifetime over a shared directory
@@ -113,12 +113,12 @@ def test_service_throughput():
             backend="inprocess", max_workers=1, cache_capacity=0,
             cache_dir=cache_dir,
         ) as client:
-            disk_cold_s, _ = _run_batch(client, _batch())
+            disk_cold_s, _ = _timed(client, _batch())
         with ServiceClient(
             backend="inprocess", max_workers=1, cache_capacity=0,
             cache_dir=cache_dir,
         ) as client:
-            disk_warm_s, disk_results = _run_batch(client, _batch())
+            disk_warm_s, disk_results = _timed(client, _batch())
             disk_stats = client.stats.disk
 
     # every arm must optimize the batch identically
@@ -195,8 +195,8 @@ def test_smoke_service_batch():
     """CI smoke: tiny batch, in-process, cache-hit behaviour only."""
     jobs = _batch(size=30, seeds=(100, 101, 102))
     with ServiceClient(backend="inprocess") as client:
-        _, cold = _run_batch(client, jobs)
-        _, warm = _run_batch(client, _batch(size=30, seeds=(100, 101, 102)))
+        _, cold = _timed(client, jobs)
+        _, warm = _timed(client, _batch(size=30, seeds=(100, 101, 102)))
         assert [r.source for r in warm] == [r.source for r in cold]
         assert all(result.cached for result in warm)
         assert client.stats.cache.hits == len(jobs)
@@ -209,11 +209,11 @@ def test_smoke_disk_cache_batch(tmp_path):
     with ServiceClient(
         backend="inprocess", cache_capacity=0, cache_dir=str(tmp_path)
     ) as client:
-        _, cold = _run_batch(client, _batch(size=30, seeds=seeds))
+        _, cold = _timed(client, _batch(size=30, seeds=seeds))
     with ServiceClient(
         backend="inprocess", cache_capacity=0, cache_dir=str(tmp_path)
     ) as client:
-        _, warm = _run_batch(client, _batch(size=30, seeds=seeds))
+        _, warm = _timed(client, _batch(size=30, seeds=seeds))
         disk = client.stats.disk
     assert [r.source for r in warm] == [r.source for r in cold]
     assert all(result.cached for result in warm)

@@ -48,14 +48,15 @@ rejected session command) — reported as a one-line diagnostic.
         models.  ``--workers N`` evaluates candidates through the
         process-pool service so convergent orderings are cache hits.
 
-    genesis infer [--seed N] [--pairs N] [--out DIR] [--workers N]
+    genesis infer [--seed N] [--pairs N] [--out DIR]
         Spec inference: mine candidate rewrites from before/after
         pairs, generalize them through the abstraction ladder, and
-        admission-certify each rung (sema, legality, the differential
-        oracle, the worklist matcher's shadow check).  Admitted specs
-        print as GOSpeL source; rejections leave shrunk
-        counterexamples.  ``--emit-module`` renders the admitted set
-        as a catalog module (how ``repro.opts.inferred`` is made).
+        admission-certify each rung in-process (sema, legality, the
+        differential oracle, the worklist matcher's shadow check).
+        Admitted specs print as GOSpeL source; rejections leave
+        shrunk counterexamples.  ``--emit-module`` renders the
+        admitted set as a catalog module (how ``repro.opts.inferred``
+        is made).
 
     genesis submit <program.f> --opts CTP,DCE [--backend process]
         One-shot optimization through the optimization service.
@@ -67,8 +68,7 @@ rejected session command) — reported as a one-line diagnostic.
     genesis serve --listen [HOST:]PORT [--cache-dir DIR]
         Network optimization service: concurrent TCP JSON-lines
         sessions, a crash-safe persistent cache tier, graceful
-        SIGTERM drain (exit 0).  Without --listen, the same dialect
-        runs over stdin/stdout as a single-session debug loop.
+        SIGTERM drain (exit 0).
 
     genesis submit|batch|search ... --connect HOST:PORT
         Send jobs to a running server instead of building a local
@@ -115,10 +115,8 @@ from repro.gospel.errors import GospelError
 from repro.ir.printer import format_program
 from repro.ir.program import IRError
 from repro.ir.validate import ValidationError
-from repro.opts.catalog import standard_optimizers
-from repro.opts.extended import EXTENDED_SPECS
-from repro.opts.inferred import INFERRED_SPECS
-from repro.opts.specs import STANDARD_SPECS, VARIANT_SPECS
+from repro.opts.catalog import spec_source, standard_optimizers
+from repro.opts.specs import STANDARD_SPECS
 from repro.search.space import SearchError
 from repro.service.scheduler import ServiceError
 from repro.workloads.programs import SOURCES
@@ -256,6 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     interact.add_argument("program")
     interact.add_argument("--opts", default=",".join(sorted(STANDARD_SPECS)))
 
+    # a local service's knobs (submit, batch, serve) ...
     service_flags = argparse.ArgumentParser(add_help=False)
     service_flags.add_argument(
         "--backend", choices=["inprocess", "process"], default="process",
@@ -281,22 +280,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="persistent disk tier under the in-memory result cache "
         "(crash-safe, shareable across restarts and processes)",
     )
-    service_flags.add_argument(
+    # ... and a remote client's (submit, batch)
+    remote_flags = argparse.ArgumentParser(add_help=False)
+    remote_flags.add_argument(
         "--connect", default=None, metavar="HOST:PORT",
         help="send jobs to a running 'genesis serve --listen' server "
         "instead of a local service (retried with capped jittered "
         "backoff; safe because submission is idempotent under cache "
         "keys); local backend/worker flags are ignored",
     )
-    service_flags.add_argument(
+    remote_flags.add_argument(
         "--retry-attempts", type=int, default=5, metavar="N",
         help="retry budget per request for --connect (default: 5)",
     )
-    service_flags.add_argument(
+    remote_flags.add_argument(
         "--connect-timeout", type=float, default=2.0, metavar="SECONDS",
         help="TCP connect timeout for --connect (default: 2)",
     )
-    service_flags.add_argument(
+    remote_flags.add_argument(
         "--request-timeout", type=float, default=120.0, metavar="SECONDS",
         help="per-request read timeout for --connect (default: 120; "
         "heartbeats keep long jobs alive)",
@@ -432,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     submit = sub.add_parser(
-        "submit", parents=[service_flags],
+        "submit", parents=[service_flags, remote_flags],
         help="optimize one program through the optimization service",
     )
     submit.add_argument("program", help="mini-Fortran source file, or a "
@@ -446,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     batch = sub.add_parser(
-        "batch", parents=[service_flags],
+        "batch", parents=[service_flags, remote_flags],
         help="optimize many programs concurrently through the service",
     )
     batch.add_argument(
@@ -601,32 +602,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="FILE",
         help="also write the full inference result as JSON",
     )
-    infer.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="screen candidates through an optimization service with "
-        "N workers (default: 0, serial in-process)",
-    )
-    infer.add_argument(
-        "--backend", choices=["inprocess", "process"], default="process",
-        help="service backend for --workers (default: process)",
-    )
-    infer.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="screen candidates through a running 'genesis serve "
-        "--listen' server (--workers/--backend are ignored)",
-    )
 
     serve = sub.add_parser(
         "serve", parents=[service_flags],
-        help="run the optimization service over a TCP socket "
-        "(--listen) or stdin/stdout (JSON-lines debug fallback)",
+        help="run the optimization service over a TCP socket",
     )
     serve.add_argument(
         "--cache-capacity", type=int, default=256, metavar="N",
         help="result-cache entries before LRU eviction (default: 256)",
     )
     serve.add_argument(
-        "--listen", default=None, metavar="[HOST:]PORT",
+        "--listen", required=True, metavar="[HOST:]PORT",
         help="serve the JSON-lines protocol over TCP (port 0 picks a "
         "free port; see --port-file); SIGTERM drains gracefully",
     )
@@ -668,16 +654,11 @@ def _load_program_arg(text: str):
     return parse_program(Path(text).read_text())
 
 
-_ALL_SPECS = {
-    **STANDARD_SPECS, **EXTENDED_SPECS, **INFERRED_SPECS, **VARIANT_SPECS
-}
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.spec in _ALL_SPECS:
-        source = _ALL_SPECS[args.spec]
+    try:
+        source = spec_source(args.spec)
         name = args.name or args.spec
-    else:
+    except KeyError:
         source = Path(args.spec).read_text()
         name = args.name or Path(args.spec).stem.upper()
     optimizer = generate_optimizer(
@@ -1005,22 +986,9 @@ def _load_source_arg(text: str) -> tuple[str, str]:
 
 
 def _parse_opt_names(opts: str) -> tuple[str, ...]:
-    from repro.opts.extended import EXTENDED_SPECS
-    from repro.opts.inferred import INFERRED_SPECS
-    from repro.opts.specs import STANDARD_SPECS, VARIANT_SPECS
-
     names = tuple(name.strip().upper() for name in opts.split(","))
     for name in names:
-        if not (
-            name in STANDARD_SPECS
-            or name in EXTENDED_SPECS
-            or name in INFERRED_SPECS
-            or name in VARIANT_SPECS
-        ):
-            raise KeyError(
-                f"unknown optimization {name!r}; catalog has "
-                f"{sorted(STANDARD_SPECS) + sorted(EXTENDED_SPECS) + sorted(INFERRED_SPECS) + sorted(VARIANT_SPECS)}"
-            )
+        spec_source(name)  # raises KeyError for names outside the catalog
     return names
 
 
@@ -1044,17 +1012,18 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.service.job import Job
+    from repro.service import Job, run_batch
 
     labelled = [_load_source_arg(item) for item in args.programs]
     opt_names = _parse_opt_names(args.opts)
     options = DriverOptions(apply_all=True)
     with _service_client(args) as client:
-        results = client.run_batch(
+        results = run_batch(
+            client,
             [
                 Job.from_source(source, opt_names, options)
                 for _, source in labelled
-            ]
+            ],
         )
         stats = client.stats
     failed = 0
@@ -1157,16 +1126,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         max_windows=args.max_windows,
     )
 
-    def run(client=None):
-        return run_inference(
-            config, client=client, progress=lambda line: print(f"  {line}")
-        )
-
-    if args.connect or args.workers > 0:
-        with _service_client(args, max_workers=args.workers) as client:
-            result = run(client)
-    else:
-        result = run()
+    result = run_inference(config, progress=lambda line: print(f"  {line}"))
     print(result.summary())
     if args.emit_module:
         Path(args.emit_module).write_text(emit_module(result))
@@ -1214,25 +1174,20 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """The JSON-lines service: over TCP with --listen (concurrent
-    sessions, events, graceful drain), else over stdin/stdout as a
-    single-session debug fallback (same dialect, same job spellings —
-    see docs/service.md)."""
-    import json as _json
+    """The JSON-lines service over TCP: concurrent sessions, events,
+    graceful drain (see docs/service.md)."""
+    from repro.service.net.server import (
+        ServeConfig,
+        _parse_hostport,
+        run_server,
+    )
+    from repro.service.scheduler import ServiceConfig
 
-    from repro.service.net.protocol import job_from_request
-
-    if args.listen is not None:
-        from repro.service.net.server import (
-            ServeConfig,
-            _parse_hostport,
-            run_server,
-        )
-
-        host, port = _parse_hostport(args.listen)
-        return run_server(ServeConfig(
-            host=host,
-            port=port,
+    host, port = _parse_hostport(args.listen)
+    return run_server(ServeConfig(
+        host=host,
+        port=port,
+        service=ServiceConfig(
             backend=args.backend,
             max_workers=args.workers,
             queue_limit=args.queue_limit,
@@ -1240,55 +1195,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             cache_disk_bytes=args.cache_disk_mb * 1024 * 1024,
             default_deadline=args.job_deadline,
-            max_pending=args.max_pending,
-            drain_grace=args.drain_grace,
-            port_file=args.port_file,
-            chaos_disconnect=args.chaos_disconnect,
-            chaos_seed=args.chaos_seed,
-        ))
-
-    def emit(payload: dict) -> None:
-        print(_json.dumps(payload), flush=True)
-
-    client = _service_client(
-        args,
-        cache_capacity=args.cache_capacity,
-        log=lambda message: print(message, file=sys.stderr, flush=True),
-    )
-    with client:
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                request = _json.loads(line)
-            except _json.JSONDecodeError as error:
-                emit({"error": f"bad JSON: {error}"})
-                continue
-            if not isinstance(request, dict):
-                emit({"error": "request must be a JSON object"})
-                continue
-            command = request.get("cmd")
-            try:
-                if command == "quit":
-                    break
-                if command == "stats":
-                    emit({"stats": str(client.stats)})
-                elif command == "wait":
-                    result = client.wait(
-                        int(request["job_id"]),
-                        timeout=request.get("timeout"),
-                    )
-                    emit(result.to_dict())
-                else:
-                    job_id = client.submit(job_from_request(request))
-                    if request.get("wait", True):
-                        emit(client.wait(job_id).to_dict())
-                    else:
-                        emit({"job_id": job_id, "status": "queued"})
-            except _BOUNDARY_ERRORS as error:
-                emit({"error": str(error) or type(error).__name__})
-    return 0
+        ),
+        max_pending=args.max_pending,
+        drain_grace=args.drain_grace,
+        port_file=args.port_file,
+        chaos_disconnect=args.chaos_disconnect,
+        chaos_seed=args.chaos_seed,
+    ))
 
 
 if __name__ == "__main__":

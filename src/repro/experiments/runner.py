@@ -226,6 +226,7 @@ def _run_components_via_service(
     client: "ServiceClient", workload_names: Optional[list[str]]
 ) -> dict[str, object]:
     """Fan the seven components out as service experiment jobs."""
+    from repro.service.client import run_batch
     from repro.service.job import Job
 
     jobs = []
@@ -233,11 +234,9 @@ def _run_components_via_service(
         job = Job.experiment(name)
         if workload_names is not None:
             job.payload["workloads"] = list(workload_names)
-        jobs.append((name, job))
-    job_ids = {name: client.submit(job) for name, job in jobs}
+        jobs.append(job)
     components: dict[str, object] = {}
-    for name, job_id in job_ids.items():
-        result = client.wait(job_id)
+    for name, result in zip(_COMPONENTS, run_batch(client, jobs)):
         if not result.ok:
             detail = str(result.failure) if result.failure else result.status
             raise RuntimeError(

@@ -12,23 +12,28 @@ from repro.opts.inferred import INFERRED_SPECS
 from repro.opts.specs import STANDARD_SPECS, VARIANT_SPECS
 
 
+def spec_source(name: str) -> str:
+    """The GOSpeL source of a catalog optimization, by name.
+
+    The one catalog lookup (standard, extended, inferred and variant
+    specs); an unknown name raises ``KeyError`` listing the catalog.
+    """
+    catalogs = (STANDARD_SPECS, EXTENDED_SPECS, INFERRED_SPECS, VARIANT_SPECS)
+    for specs in catalogs:
+        if name in specs:
+            return specs[name]
+    raise KeyError(
+        f"unknown optimization {name!r}; catalog has "
+        f"{[known for specs in catalogs for known in sorted(specs)]}"
+    )
+
+
 def build_optimizer(
     name: str,
     policy: StrategyPolicy = StrategyPolicy.HEURISTIC,
 ) -> GeneratedOptimizer:
     """Generate one optimizer from the standard catalog by name."""
-    source = (
-        STANDARD_SPECS.get(name)
-        or EXTENDED_SPECS.get(name)
-        or INFERRED_SPECS.get(name)
-        or VARIANT_SPECS.get(name)
-    )
-    if source is None:
-        raise KeyError(
-            f"unknown optimization {name!r}; catalog has "
-            f"{sorted(STANDARD_SPECS) + sorted(EXTENDED_SPECS) + sorted(INFERRED_SPECS) + sorted(VARIANT_SPECS)}"
-        )
-    return generate_optimizer(source, name=name, policy=policy)
+    return generate_optimizer(spec_source(name), name=name, policy=policy)
 
 
 @lru_cache(maxsize=None)

@@ -205,8 +205,9 @@ class ServiceEvaluator(Evaluator):
     restarted search) into free hits, its single-flight coalescing
     deduplicates identical extensions submitted in the same frontier,
     and a process-pool backend runs distinct extensions concurrently.
-    Submissions are windowed to the service's queue limit, so an
-    arbitrarily wide frontier is never rejected with ``QueueFull``.
+    :func:`~repro.service.client.run_batch` windows the submissions to
+    the service's queue limit, so an arbitrarily wide frontier is never
+    rejected with ``QueueFull``.
     """
 
     def __init__(self, client, options: Optional[DriverOptions] = None):
@@ -224,30 +225,22 @@ class ServiceEvaluator(Evaluator):
         self.stats = EvaluatorStats()
 
     def evaluate(self, requests: Sequence[EvalRequest]) -> list[EvalOutcome]:
+        from repro.service.client import run_batch
         from repro.service.job import Job
 
-        outcomes: list[Optional[EvalOutcome]] = [None] * len(requests)
-        window = max(1, self.client.queue_limit)
-        pending: list[tuple[int, int]] = []  # (request index, job id)
-
-        def collect() -> None:
-            for index, job_id in pending:
-                outcomes[index] = self._outcome(self.client.wait(job_id))
-            pending.clear()
-
-        for index, request in enumerate(requests):
-            self.stats.evaluations += 1
-            job = Job(
+        self.stats.evaluations += len(requests)
+        jobs = [
+            Job(
                 source=request.node.source,
                 opt_names=(request.opt_name,),
                 options=_options_dict(self.options),
                 fingerprint=request.node.fingerprint,
             )
-            if len(pending) >= window:
-                collect()
-            pending.append((index, self.client.submit(job)))
-        collect()
-        return [outcome for outcome in outcomes if outcome is not None]
+            for request in requests
+        ]
+        return [
+            self._outcome(result) for result in run_batch(self.client, jobs)
+        ]
 
     def _outcome(self, result) -> EvalOutcome:
         served = bool(result.cached or result.coalesced)

@@ -16,8 +16,10 @@ re-optimized.  See ``docs/service.md`` for the architecture.
 * :mod:`repro.service.scheduler` — :class:`OptimizationService`:
   bounded queue, admission control, per-job deadlines, single-flight
   coalescing, worker reaping;
-* :mod:`repro.service.client` — the :class:`ServiceClient` Python API;
-  the ``genesis serve``/``submit``/``batch`` CLI verbs wrap it.
+* :mod:`repro.service.client` — the :class:`ServiceClient` Python API
+  and :func:`run_batch`, the one windowed, order-preserving way to
+  batch jobs through any client; the ``genesis submit``/``batch`` CLI
+  verbs wrap them.
 """
 
 from repro.service.backends import (
@@ -26,7 +28,7 @@ from repro.service.backends import (
     execute_job,
 )
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, run_batch
 from repro.service.job import (
     COMPLETED,
     EXPIRED,
@@ -65,4 +67,5 @@ __all__ = [
     "execute_job",
     "options_from_dict",
     "options_to_dict",
+    "run_batch",
 ]

@@ -81,8 +81,6 @@ def _execute_optimize(job: Job) -> JobResult:
     from repro.frontend.lower import parse_program
     from repro.frontend.unparse import unparse_program
     from repro.genesis.pipeline import optimize
-    from repro.opts.catalog import standard_optimizers
-    from repro.opts.specs import STANDARD_SPECS
 
     program = parse_program(job.source)
     if program.fingerprint() != job.fingerprint:
@@ -93,9 +91,7 @@ def _execute_optimize(job: Job) -> JobResult:
             f"{job.fingerprint[:12]}…, parsed source hashes to "
             f"{program.fingerprint()[:12]}…"
         )
-    optimizers = _resolve_optimizers(job.opt_names, STANDARD_SPECS,
-                                     standard_optimizers,
-                                     inline=job.payload.get("spec_sources"))
+    optimizers = _resolve_optimizers(job.opt_names)
     # pipeline knobs that are not DriverOptions travel in the payload
     # (and therefore in the cache key) so a service run is byte-
     # identical to a serial one under the same settings
@@ -133,34 +129,18 @@ def _execute_optimize(job: Job) -> JobResult:
     )
 
 
-def _resolve_optimizers(opt_names, standard_specs, standard_optimizers,
-                        inline=None):
-    """Catalog lookups, sharing the generated-optimizer cache.
+def _resolve_optimizers(opt_names):
+    """Catalog lookups, sharing the generated-optimizer cache."""
+    from repro.opts.catalog import build_optimizer, standard_optimizers
+    from repro.opts.specs import STANDARD_SPECS
 
-    ``inline`` maps names to GOSpeL sources shipped in the job payload
-    (``payload["spec_sources"]``) — how the spec-inference pipeline
-    evaluates candidates that exist in no catalog yet.  Inline sources
-    shadow catalog names and, being part of the payload, participate
-    in the result-cache key.
-    """
-    from repro.genesis.generator import generate_optimizer
-    from repro.opts.catalog import build_optimizer
-
-    inline = inline or {}
     standard = standard_optimizers(
-        tuple(sorted(
-            {n for n in opt_names if n in standard_specs and n not in inline}
-        ))
+        tuple(sorted({n for n in opt_names if n in STANDARD_SPECS}))
     )
-
-    def resolve(name):
-        if name in inline:
-            return generate_optimizer(str(inline[name]), name=name)
-        if name in standard:
-            return standard[name]
-        return build_optimizer(name)
-
-    return [resolve(name) for name in opt_names]
+    return [
+        standard[name] if name in standard else build_optimizer(name)
+        for name in opt_names
+    ]
 
 
 def _execute_experiment(job: Job) -> JobResult:

@@ -11,7 +11,7 @@ surfaces a raw traceback to the submitter.
 
 Everything here is plain-dict serializable (``to_dict``/``from_dict``)
 because the process-pool backend ships jobs and results over pipes and
-the ``genesis serve`` stdio server speaks JSON lines.
+the ``genesis serve`` network server speaks JSON lines.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 ``repro.service.net`` puts the PR 5 scheduler on a TCP socket:
 
 * :mod:`repro.service.net.protocol` — the JSON-lines wire dialect
-  (requests, responses, events, error envelopes) shared by the server,
-  the client, and the ``genesis serve`` stdio debug loop;
+  (requests, responses, events, error envelopes) shared by the server
+  and the client;
 * :mod:`repro.service.net.server` — :class:`OptimizationServer`: an
   asyncio server fronting one
   :class:`~repro.service.scheduler.OptimizationService`, with

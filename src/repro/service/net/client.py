@@ -2,11 +2,13 @@
 
 :class:`NetworkServiceClient` speaks the JSON-lines dialect of
 :mod:`repro.service.net.protocol` over a plain blocking socket and
-duck-types :class:`~repro.service.client.ServiceClient` — ``optimize``
-one-shots, ``submit``/``wait`` tickets, order-preserving
-``run_batch`` — so every existing consumer (the batch CLI, the search
-engine's :class:`~repro.search.space.ServiceEvaluator`, the fuzz and
-chaos harnesses) can point at a remote server by swapping the client.
+duck-types :class:`~repro.service.client.ServiceClient` —
+``optimize_source`` one-shots, ``submit``/``wait`` tickets,
+``queue_limit`` and ``stats`` — so every batch consumer (the batch CLI,
+the search engine's :class:`~repro.search.space.ServiceEvaluator`, the
+fuzz, chaos and experiment harnesses, all through
+:func:`repro.service.client.run_batch`) can point at a remote server
+by swapping the client.
 
 **Why retries are safe.**  Job identity *is* the cache key (a sha256
 over version × kind × fingerprint × opts × options × payload), so
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.genesis.driver import DriverOptions
-from repro.ir.program import Program
 from repro.service.job import Job, JobResult
 from repro.service.net.protocol import (
     decode_line,
@@ -300,16 +301,6 @@ class NetworkServiceClient:
         job = Job.from_source(source, opt_names, options)
         return self._optimize_job(job)
 
-    def optimize_program(
-        self,
-        program: Program,
-        opt_names: Sequence[str],
-        options: Optional[DriverOptions] = None,
-        timeout: Optional[float] = None,
-    ) -> JobResult:
-        job = Job.from_program(program, opt_names, options)
-        return self._optimize_job(job)
-
     def submit(self, job: Job) -> int:
         """Pipeline a job; returns a client-local ticket for ``wait``.
 
@@ -352,20 +343,6 @@ class NetworkServiceClient:
         # connection (or server) changed since submit: resubmit —
         # coalesces or cache-hits if the first submission ran
         return self._optimize_job(job)
-
-    def run_batch(
-        self,
-        jobs: Sequence[Job],
-        timeout: Optional[float] = None,
-    ) -> list[JobResult]:
-        """Pipelined batch: results in submission order."""
-        limit = max(1, self.queue_limit)
-        results: list[JobResult] = []
-        for start in range(0, len(jobs), limit):
-            window = jobs[start : start + limit]
-            tickets = [self.submit(job) for job in window]
-            results.extend(self.wait(ticket) for ticket in tickets)
-        return results
 
     # ------------------------------------------------------------------
     # introspection / lifecycle

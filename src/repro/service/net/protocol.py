@@ -112,8 +112,11 @@ def job_from_request(request: dict, workloads: Optional[dict] = None) -> Job:
     (what :class:`~repro.service.net.client.NetworkServiceClient`
     sends — the fingerprint travels with it, so the server does not
     re-parse), or the legacy ``source``/``workload`` + ``opts`` +
-    ``options`` + ``deadline`` keys the stdio loop has always spoken
+    ``options`` + ``deadline`` keys, handy from ``nc`` or a script
     (parsed eagerly, so a malformed program is rejected at admission).
+    Optimization names resolve through the one catalog lookup,
+    :func:`repro.opts.catalog.spec_source`; an unknown name is a
+    :class:`JobError`.
     """
     if "job" in request:
         payload = request["job"]
@@ -144,17 +147,13 @@ def job_from_request(request: dict, workloads: Optional[dict] = None) -> Job:
         )
     else:
         opt_names = tuple(str(name).upper() for name in opts)
-    from repro.opts.extended import EXTENDED_SPECS
-    from repro.opts.specs import STANDARD_SPECS, VARIANT_SPECS
+    from repro.opts.catalog import spec_source
 
-    unknown = [
-        name for name in opt_names
-        if name not in STANDARD_SPECS
-        and name not in EXTENDED_SPECS
-        and name not in VARIANT_SPECS
-    ]
-    if unknown:
-        raise JobError(f"unknown optimization(s): {', '.join(unknown)}")
+    for name in opt_names:
+        try:
+            spec_source(name)
+        except KeyError as error:
+            raise JobError(error.args[0]) from None
     options = DriverOptions(apply_all=True)
     if "options" in request:
         options = options_from_dict(dict(request["options"]))

@@ -41,13 +41,12 @@ mid-read reconnect path.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import random
 import signal
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro._version import __version__
@@ -66,26 +65,25 @@ from repro.service.scheduler import (
 )
 
 
+#: scheduler pump cadence (also the event-delivery cadence)
+PUMP_INTERVAL = 0.005
+
+#: keep-alive cadence towards connections with outstanding waits
+HEARTBEAT_INTERVAL = 2.0
+
+
 @dataclass
 class ServeConfig:
-    """Network-server knobs (scheduler knobs ride in ServiceConfig)."""
+    """Network-server knobs; the scheduler's ride in ``service``."""
 
     host: str = "127.0.0.1"
     #: 0 picks a free port; the bound port lands in ``port_file``
     port: int = 0
-    backend: str = "process"
-    max_workers: int = 4
-    queue_limit: int = 256
-    cache_capacity: int = 256
-    cache_dir: Optional[str] = None
-    cache_disk_bytes: int = 64 * 1024 * 1024
-    default_deadline: Optional[float] = None
+    service: ServiceConfig = field(
+        default_factory=lambda: ServiceConfig(backend="process", max_workers=4)
+    )
     #: unresolved waits one connection may hold before ``Backpressure``
     max_pending: int = 64
-    #: scheduler pump cadence (also the event-delivery cadence)
-    pump_interval: float = 0.005
-    #: keep-alive cadence towards connections with outstanding waits
-    heartbeat_interval: float = 2.0
     #: seconds in-flight jobs get to land during a drain
     drain_grace: float = 10.0
     #: written atomically once bound (how tests learn a port-0 choice)
@@ -133,16 +131,7 @@ class OptimizationServer:
             lambda message: print(message, file=sys.stderr, flush=True)
         )
         self.service = OptimizationService(
-            ServiceConfig(
-                backend=self.config.backend,
-                max_workers=self.config.max_workers,
-                queue_limit=self.config.queue_limit,
-                cache_capacity=self.config.cache_capacity,
-                cache_dir=self.config.cache_dir,
-                cache_disk_bytes=self.config.cache_disk_bytes,
-                default_deadline=self.config.default_deadline,
-            ),
-            log=self._log_sink,
+            self.config.service, log=self._log_sink
         )
         self.port: Optional[int] = None
         self._conns: set[_Connection] = set()
@@ -187,9 +176,9 @@ class OptimizationServer:
         self._write_port_file()
         self._log(
             f"listening on {self.config.host}:{self.port} "
-            f"(backend={self.config.backend}, "
-            f"workers={self.config.max_workers}, "
-            f"cache_dir={self.config.cache_dir or '<memory only>'})"
+            f"(backend={self.service.backend.name}, "
+            f"workers={self.service.backend.max_workers}, "
+            f"cache_dir={self.config.service.cache_dir or '<memory only>'})"
         )
         pump = asyncio.create_task(self._pump_loop())
         try:
@@ -220,7 +209,7 @@ class OptimizationServer:
         deadline = loop.time() + self.config.drain_grace
         while self.service.pending and loop.time() < deadline:
             # the pump task is still running: jobs land, waiters resolve
-            await asyncio.sleep(self.config.pump_interval)
+            await asyncio.sleep(PUMP_INTERVAL)
         # whatever is still in flight fails structurally (ServiceClosed,
         # which clients treat as retry-after-restart); completed results
         # are already durable in the disk tier (atomic renames)
@@ -389,7 +378,7 @@ class OptimizationServer:
             except ServiceError:  # service closed mid-drain
                 pass
             self._deliver()
-            await asyncio.sleep(self.config.pump_interval)
+            await asyncio.sleep(PUMP_INTERVAL)
 
     def _deliver(self) -> None:
         for conn in list(self._conns):
@@ -439,7 +428,7 @@ class OptimizationServer:
         # keep-alive towards connections with outstanding waits
         if conn.waiters and (
             time.monotonic() - conn.last_write
-            > self.config.heartbeat_interval
+            > HEARTBEAT_INTERVAL
         ):
             conn.send({"event": "heartbeat", "t": time.time()})
 

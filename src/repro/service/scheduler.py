@@ -28,7 +28,7 @@ process-pool backend supplies the actual parallelism):
   before dispatch expire without ever occupying a worker.
 
 The service is driven by :meth:`pump` (one non-blocking scheduling
-step); :meth:`wait` and :meth:`drain` pump until completion.  See
+step); :meth:`wait` pumps until a job resolves.  See
 ``docs/service.md`` for the architecture picture.
 """
 
@@ -61,6 +61,10 @@ from repro.service.job import (
 )
 
 
+#: sleep between pumps while blocking in :meth:`OptimizationService.wait`
+POLL_INTERVAL = 0.005
+
+
 class ServiceError(RuntimeError):
     """Misuse of the service API (unknown job id, closed service)."""
 
@@ -87,8 +91,6 @@ class ServiceConfig:
     default_deadline: Optional[float] = None
     #: worker crashes/stalls per fingerprint before it is quarantined
     crash_quarantine: int = 3
-    #: sleep between pumps while blocking in wait()/drain()
-    poll_interval: float = 0.005
 
 
 @dataclass
@@ -142,6 +144,9 @@ class ServiceStats:
         if self.disk is not None:
             text += f"; {self.disk}"
         return text
+
+    def __str__(self) -> str:
+        return self.summary()
 
 
 @dataclass
@@ -558,26 +563,8 @@ class OptimizationService:
                     f"timed out waiting for job {job_id} "
                     f"(status {record.status})"
                 )
-            time.sleep(self.config.poll_interval)
+            time.sleep(POLL_INTERVAL)
         return record.result
-
-    def drain(self, timeout: Optional[float] = None) -> list[JobResult]:
-        """Pump until every submitted job resolves; all results by id."""
-        give_up = (
-            time.perf_counter() + timeout if timeout is not None else None
-        )
-        while any(r.result is None for r in self._records.values()):
-            self.pump()
-            if all(r.result is not None for r in self._records.values()):
-                break
-            if give_up is not None and time.perf_counter() > give_up:
-                raise ServiceError("timed out draining the service")
-            time.sleep(self.config.poll_interval)
-        return [
-            record.result
-            for _job_id, record in sorted(self._records.items())
-            if record.result is not None
-        ]
 
     @property
     def pending(self) -> int:

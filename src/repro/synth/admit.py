@@ -11,10 +11,10 @@ order:
    corpus under the transactional driver with ``validate=True`` and
    dependence recomputation on; any contained failure (restriction
    violation, rollback exhaustion, validator rejection) refuses the
-   candidate.  With a service client attached, this gate fans the
-   corpus out as ``optimize`` jobs carrying the candidate source
-   inline (``payload["spec_sources"]``), so screening parallelizes
-   across worker processes.
+   candidate.  Screening runs in-process: a corpus program is a
+   job of a few milliseconds, and fanning the corpus out through the
+   optimization service ran at 0.21-0.29x of serial speed on one- and
+   two-CPU hosts.
 3. **coverage** — the candidate must actually fire somewhere on the
    corpus.  A spec that never applies is unfalsifiable and useless;
    it is refused, not vacuously admitted.
@@ -177,12 +177,9 @@ def audit_programs() -> list[Program]:
 class AdmissionPipeline:
     """Runs candidates through the five gates over a fixed corpus.
 
-    ``client`` may be a :class:`repro.service.client.ServiceClient`;
-    the legality gate then evaluates corpus programs as service jobs
-    (candidate source shipped inline in the job payload) instead of
-    in-process.  ``out_dir`` receives counterexample repro files and
-    the refuted candidate's GOSpeL source; when None, rejection is
-    still reported but nothing is persisted.
+    ``out_dir`` receives counterexample repro files and the refuted
+    candidate's GOSpeL source; when None, rejection is still reported
+    but nothing is persisted.
     """
 
     def __init__(
@@ -195,7 +192,6 @@ class AdmissionPipeline:
         matcher_gate: bool = True,
         compare_stores: bool = False,
         max_shrink_attempts: int = 300,
-        client=None,
         programs: int = 6,
         program_size: int = 12,
     ) -> None:
@@ -211,7 +207,6 @@ class AdmissionPipeline:
         self.matcher_gate = matcher_gate
         self.compare_stores = compare_stores
         self.max_shrink_attempts = max_shrink_attempts
-        self.client = client
 
     # ------------------------------------------------------------------
     def evaluate(self, candidate) -> AdmissionReport:
@@ -253,7 +248,7 @@ class AdmissionPipeline:
 
         # gate 2: legality ----------------------------------------------
         corpus = list(extra_corpus) + self.corpus
-        transformed = self._screen(name, source, optimizer, corpus, report)
+        transformed = self._screen(optimizer, corpus, report)
         if transformed is None:
             report.elapsed_seconds = time.perf_counter() - started
             return report
@@ -293,11 +288,9 @@ class AdmissionPipeline:
     # ------------------------------------------------------------------
     # gate bodies
     # ------------------------------------------------------------------
-    def _screen(self, name, source, optimizer, corpus, report):
+    def _screen(self, optimizer, corpus, report):
         """Legality gate; returns [(original, transformed, applied)] or
         None after recording the failure."""
-        if self.client is not None:
-            return self._screen_service(name, source, corpus, report)
         results = []
         for program in corpus:
             working = program.clone()
@@ -316,48 +309,6 @@ class AdmissionPipeline:
                 return None
             results.append((program, working, outcome.applied))
 
-        report.gates.append(GateResult("legality", True))
-        return results
-
-    def _screen_service(self, name, source, corpus, report):
-        from repro.service.job import Job
-
-        jobs = [
-            Job.from_program(
-                program,
-                (name,),
-                SCREEN_OPTIONS,
-                payload={"spec_sources": {name: source}},
-            )
-            for program in corpus
-        ]
-        results = []
-        window = max(1, getattr(self.client, "queue_limit", len(jobs)) or 1)
-        outcomes = []
-        for start in range(0, len(jobs), window):
-            outcomes.extend(self.client.run_batch(jobs[start:start + window]))
-        for program, outcome in zip(corpus, outcomes):
-            if not outcome.ok:
-                detail = (
-                    f"{outcome.failure.error_type}: {outcome.failure.error}"
-                    if outcome.failure is not None
-                    else outcome.status
-                )
-                report.gates.append(
-                    GateResult("legality", False, f"service job failed: {detail}")
-                )
-                return None
-            if outcome.app_failures:
-                report.gates.append(
-                    GateResult(
-                        "legality", False,
-                        f"contained failure: {outcome.app_failures[0]}",
-                    )
-                )
-                return None
-            results.append(
-                (program, outcome.program(), outcome.applications)
-            )
         report.gates.append(GateResult("legality", True))
         return results
 

@@ -149,7 +149,6 @@ def catalog_fingerprints() -> dict[str, str]:
 
 def run_inference(
     config: Optional[InferenceConfig] = None,
-    client=None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> InferenceResult:
     """Mine, generalize, and admit — one full inference run."""
@@ -189,7 +188,6 @@ def run_inference(
         seed=config.seed,
         out_dir=config.out_dir,
         matcher_gate=config.matcher_gate,
-        client=client,
         programs=config.corpus_programs,
         program_size=config.corpus_size,
     )

@@ -393,25 +393,21 @@ def _baselines_via_service(
     (serial fallback) when the driver options cannot cross a process
     boundary.
     """
+    from repro.service.client import run_batch
     from repro.service.job import Job, JobError
 
     try:
-        jobs = {
-            program_name: Job.from_source(
+        jobs = [
+            Job.from_source(
                 SOURCES[program_name], opt_names, replace(base_options),
                 payload={"quarantine_after": quarantine_after},
             )
             for program_name in names
-        }
+        ]
     except JobError:
         return None
-    job_ids = {
-        program_name: client.submit(job)
-        for program_name, job in jobs.items()
-    }
     baselines: dict[str, tuple[int, str]] = {}
-    for program_name, job_id in job_ids.items():
-        result = client.wait(job_id)
+    for program_name, result in zip(names, run_batch(client, jobs)):
         if not result.ok:
             detail = str(result.failure) if result.failure else result.status
             raise RuntimeError(

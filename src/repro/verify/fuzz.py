@@ -21,7 +21,6 @@ The ``genesis fuzz`` CLI subcommand is a thin wrapper over
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -231,65 +230,26 @@ def _run_fuzz_service(
     client,
     progress: Optional[ProgressHook],
 ) -> None:
-    """The service-backed campaign: windowed submit, verdict locally.
+    """The service-backed campaign: one batch, verdicts locally.
 
-    Submissions are windowed to the service's admission-queue limit —
-    at most that many jobs are in flight at once, the oldest collected
-    before the next is submitted — so an arbitrarily large campaign
-    (iterations × check-plan entries) never trips the bounded queue's
-    ``QueueFull`` rejection.  A rejection that slips through anyway
-    (a shared service filling up behind the window) is retried after
-    the wait has freed queue room, not treated as fatal.
+    The whole campaign (iterations × check-plan entries) goes to the
+    service as one :func:`~repro.service.client.run_batch` batch, which
+    windows it to the admission queue and resubmits stray rejections;
+    the oracle then checks the results locally, in campaign order.
 
-    Only catalog optimizations can execute in a worker; a plan that
-    names broken-fixture optimizers falls back to serial per-check
-    transformation (they exist precisely to fail, and shrinking reruns
-    them locally anyway).
+    Only catalog optimizations can execute in a worker; a plan entry
+    that names broken-fixture optimizers is transformed serially
+    instead (they exist precisely to fail, and shrinking reruns them
+    locally anyway).
     """
-    from repro.service.job import Job, REJECTED
+    from repro.service.client import run_batch
+    from repro.service.job import Job
     from repro.service.scheduler import ServiceError
     from repro.verify.fixtures import BROKEN_SPECS
 
     options = _fuzz_driver_options(config)
-    window = max(1, getattr(client, "queue_limit", 256))
-    inflight: deque[tuple[int, int, Program, tuple[str, ...], Job, int]]
-    inflight = deque()
-    done = 0
-
-    def collect_oldest() -> None:
-        nonlocal done
-        iteration, seed, program, opt_names, job, job_id = inflight.popleft()
-        result = client.wait(job_id)
-        for retry in range(3):
-            if result.status != REJECTED:
-                break
-            # a rejection resolves instantly, so give the queue a
-            # beat to drain before resubmitting
-            time.sleep(0.05 * (retry + 1))
-            result = client.wait(client.submit(job))
-        if not result.ok:
-            raise ServiceError(
-                f"fuzz job {job_id} ({'+'.join(opt_names)}, seed {seed}) "
-                f"did not complete: {result.failure or result.status}"
-            )
-        report.applications += result.applications
-        done += 1
-        if progress is not None and done % 25 == 0:
-            progress(
-                f"{done} service check(s), "
-                f"{len(report.failures)} failure(s)"
-            )
-        if result.applications == 0:
-            return
-        report.checks += 1
-        verdict = oracle.check(program, result.program())
-        if verdict.equivalent:
-            return
-        _record_failure(
-            report, oracle, config, iteration, seed, program, opt_names,
-            [optimizers[name] for name in opt_names], verdict,
-        )
-
+    checks: list[tuple[int, int, Program, tuple[str, ...]]] = []
+    jobs: list[Job] = []
     for iteration in range(config.iterations):
         seed = config.program_seed(iteration)
         program = random_program(
@@ -303,14 +263,33 @@ def _run_fuzz_service(
                     opt_names, [optimizers[name] for name in opt_names],
                 )
                 continue
-            if len(inflight) >= window:
-                collect_oldest()
-            job = Job.from_program(program, opt_names, options)
-            inflight.append(
-                (iteration, seed, program, opt_names, job, client.submit(job))
+            checks.append((iteration, seed, program, opt_names))
+            jobs.append(Job.from_program(program, opt_names, options))
+    results = run_batch(client, jobs)
+    for done, (check, result) in enumerate(zip(checks, results), 1):
+        iteration, seed, program, opt_names = check
+        if not result.ok:
+            raise ServiceError(
+                f"fuzz job {result.job_id} ({'+'.join(opt_names)}, "
+                f"seed {seed}) did not complete: "
+                f"{result.failure or result.status}"
             )
-    while inflight:
-        collect_oldest()
+        report.applications += result.applications
+        if progress is not None and done % 25 == 0:
+            progress(
+                f"{done} service check(s), "
+                f"{len(report.failures)} failure(s)"
+            )
+        if result.applications == 0:
+            continue
+        report.checks += 1
+        verdict = oracle.check(program, result.program())
+        if verdict.equivalent:
+            continue
+        _record_failure(
+            report, oracle, config, iteration, seed, program, opt_names,
+            [optimizers[name] for name in opt_names], verdict,
+        )
 
 
 def _check_one(

@@ -166,32 +166,41 @@ class TestServiceVerbs:
         assert len(payload["results"]) == 3
         assert payload["results"][2]["cached"]
 
-    def test_serve_json_lines(self, capsys, monkeypatch):
-        import io
-        import json
-
-        requests = "\n".join([
-            json.dumps({"workload": "fft", "opts": "CTP,DCE"}),
-            json.dumps({"workload": "missing"}),
-            json.dumps({"cmd": "wait", "job_id": 999}),
-            json.dumps({"cmd": "stats"}),
-            json.dumps({"cmd": "quit"}),
-        ])
-        monkeypatch.setattr("sys.stdin", io.StringIO(requests))
-        code, out, err = run_cli(
-            capsys, "serve", "--backend", "inprocess"
+    def test_batch_prints_the_stats_summary_line(self, capsys):
+        code, out, _err = run_cli(
+            capsys, "batch", "fft", "newton",
+            "--opts", "CTP,DCE", "--backend", "inprocess",
         )
         assert code == 0
-        lines = [json.loads(line) for line in out.splitlines() if line]
-        assert lines[0]["status"] == "completed"
-        assert lines[0]["source"].startswith("program fft")
-        assert "unknown workload" in lines[1]["error"]
-        # a bad wait request is an error object, not a dead server
-        assert "unknown job id" in lines[2]["error"]
-        assert "submitted" in lines[3]["stats"]
-        from repro import __version__
+        assert out.splitlines()[-1].startswith("service: 2 submitted")
 
-        assert f"v{__version__}" in err
+    @pytest.mark.slow
+    def test_batch_windows_to_the_queue_limit(self, capsys):
+        code, out, _err = run_cli(
+            capsys, "batch", "fft", "newton", "poly", "gauss",
+            "--opts", "CTP,DCE", "--workers", "1", "--queue-limit", "1",
+        )
+        assert code == 0, out
+        assert "4 completed" in out and "0 rejected" in out
+
+    def test_serve_requires_listen(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--backend", "inprocess"])
+        assert excinfo.value.code == 2
+        assert "--listen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, absent", [
+        ("serve", ("--connect", "--retry-attempts", "--connect-timeout",
+                   "--request-timeout")),
+        ("infer", ("--workers", "--backend", "--connect")),
+    ])
+    def test_flags_a_verb_does_not_read_are_gone(
+        self, capsys, command, absent
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert not [flag for flag in absent if flag in usage]
 
     def test_fuzz_workers_flag(self, capsys):
         code, out, _err = run_cli(

@@ -15,6 +15,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     execute_job,
+    run_batch,
 )
 from repro.service.backends import CHAOS_EXIT_CODE
 from repro.service.job import Job
@@ -81,7 +82,7 @@ def test_crashed_worker_reported_and_batch_survives():
     jobs = [_job(name) for name in names]
     jobs[1].chaos = "exit"  # hard-kill fft's worker mid-job
     with ServiceClient(backend="process", max_workers=2) as client:
-        results = client.run_batch(jobs, timeout=120.0)
+        results = run_batch(client, jobs, timeout=120.0)
         stats = client.stats
     dead = results[1]
     assert dead.status == FAILED
@@ -92,12 +93,34 @@ def test_crashed_worker_reported_and_batch_survives():
     survivors = [r for i, r in enumerate(results) if i != 1]
     assert all(r.ok for r in survivors)
     with ServiceClient(backend="inprocess") as client:
-        serial = client.run_batch(
-            [_job(name) for name in names if name != "fft"]
+        serial = run_batch(
+            client, [_job(name) for name in names if name != "fft"]
         )
     for parallel_result, serial_result in zip(survivors, serial):
         assert parallel_result.source == serial_result.source
         assert parallel_result.applications == serial_result.applications
+
+
+@pytest.mark.slow
+def test_run_batch_windows_to_the_queue_limit():
+    """Eight distinct jobs against one worker and a two-job queue: the
+    window keeps every submission admitted, and results come back in
+    submission order (byte-identical to in-process runs)."""
+    names = ["newton", "fft", "gauss", "solve", "poly", "integrate",
+             "tridiag", "ordering"]
+    with ServiceClient(
+        backend="process", max_workers=1, queue_limit=2
+    ) as client:
+        results = run_batch(client, [_job(name) for name in names])
+        stats = client.stats
+    assert [r.status for r in results] == [COMPLETED] * len(names)
+    assert stats.rejected == 0
+    with ServiceClient(backend="inprocess") as client:
+        serial = run_batch(client, [_job(name) for name in names])
+    assert [r.fingerprint for r in results] == [
+        r.fingerprint for r in serial
+    ]
+    assert [r.source for r in results] == [r.source for r in serial]
 
 
 @pytest.mark.slow

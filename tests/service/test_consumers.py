@@ -2,15 +2,51 @@
 
 import pytest
 
-from repro.service import ServiceClient
+from repro.service import ServiceClient, run_batch
+from repro.service.job import Job, JobResult, REJECTED, job_failure
 from repro.verify.chaos import ChaosConfig, run_chaos
 from repro.verify.fuzz import FuzzConfig, run_fuzz
+from repro.workloads.programs import SOURCES
 
 
 @pytest.fixture()
 def client():
     with ServiceClient(backend="inprocess") as service_client:
         yield service_client
+
+
+class _FlakyClient(ServiceClient):
+    """Synthesizes admission rejections for the first two waits."""
+
+    def __init__(self):
+        super().__init__(backend="inprocess")
+        self.rejections_left = 2
+
+    def wait(self, job_id, timeout=None):
+        result = super().wait(job_id, timeout=timeout)
+        if self.rejections_left and result.ok:
+            self.rejections_left -= 1
+            return JobResult(
+                job_id=job_id,
+                status=REJECTED,
+                failure=job_failure(
+                    "admission", "QueueFull", "synthetic rejection"
+                ),
+            )
+        return result
+
+
+def test_run_batch_resubmits_retryable_rejections():
+    jobs = [
+        Job.from_source(SOURCES[name], ("CTP", "DCE"))
+        for name in ("poly", "fft", "newton")
+    ]
+    with _FlakyClient() as client:
+        results = run_batch(client, jobs)
+        assert client.rejections_left == 0
+        assert client.stats.submitted == len(jobs) + 2
+    assert [r.status for r in results] == ["completed"] * len(jobs)
+    assert [r.fingerprint for r in results] == [j.fingerprint for j in jobs]
 
 
 def test_fuzz_service_path_matches_serial(client):
@@ -88,28 +124,6 @@ def test_fuzz_windows_submissions_to_queue_limit():
 
 
 def test_fuzz_retries_rejected_submissions():
-    from repro.service.job import JobResult, REJECTED, job_failure
-
-    class _FlakyClient(ServiceClient):
-        """Synthesizes admission rejections for the first two waits."""
-
-        def __init__(self):
-            super().__init__(backend="inprocess")
-            self.rejections_left = 2
-
-        def wait(self, job_id, timeout=None):
-            result = super().wait(job_id, timeout=timeout)
-            if self.rejections_left and result.ok:
-                self.rejections_left -= 1
-                return JobResult(
-                    job_id=job_id,
-                    status=REJECTED,
-                    failure=job_failure(
-                        "admission", "QueueFull", "synthetic rejection"
-                    ),
-                )
-            return result
-
     config = FuzzConfig(iterations=2, size=10, opt_names=("CTP", "DCE"),
                         pipeline=False)
     with _FlakyClient() as client:

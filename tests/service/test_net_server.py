@@ -11,7 +11,9 @@ import json
 
 import pytest
 
+from repro import __version__
 from repro.genesis.driver import DriverOptions
+from repro.service import run_batch
 from repro.service.job import Job
 from repro.service.net.client import NetworkServiceClient, RetryPolicy
 from repro.service.net.server import (
@@ -20,7 +22,7 @@ from repro.service.net.server import (
     _Connection,
     _parse_hostport,
 )
-from repro.service.scheduler import ServiceError
+from repro.service.scheduler import ServiceConfig, ServiceError
 from repro.workloads.programs import SOURCES
 
 
@@ -42,11 +44,12 @@ class _Sink:
         self.sent.append(payload)
 
 
-def _server(**overrides):
-    settings = dict(backend="inprocess", max_workers=1)
-    settings.update(overrides)
+def _server(queue_limit=256, **overrides):
+    service = ServiceConfig(
+        backend="inprocess", max_workers=1, queue_limit=queue_limit
+    )
     return OptimizationServer(
-        ServeConfig(**settings), log=lambda message: None
+        ServeConfig(service=service, **overrides), log=lambda message: None
     )
 
 
@@ -61,6 +64,7 @@ class TestDispatchUnit:
         assert reply["max_pending"] == 3
         assert reply["backend"] == "inprocess"
         assert reply["draining"] is False
+        assert reply["version"] == __version__
 
     def test_submit_resolves_inline_with_inprocess_backend(self):
         server = _server()
@@ -103,6 +107,51 @@ class TestDispatchUnit:
         [reply] = sink.sent
         assert "unknown optimization" in reply["error"]
         assert reply["retryable"] is False
+
+    def test_legacy_workload_spelling_completes(self):
+        server = _server()
+        sink = _Sink()
+        server._dispatch(sink.conn, {
+            "cmd": "submit", "id": 10, "workload": "fft", "opts": "CTP,DCE",
+        })
+        [reply] = sink.sent
+        assert reply["result"]["status"] == "completed"
+        assert reply["result"]["source"].startswith("program fft")
+
+    def test_legacy_spelling_accepts_inferred_specs(self):
+        """The legacy spelling resolves names through the same catalog
+        lookup as ``genesis submit``, inferred specs included."""
+        server = _server()
+        sink = _Sink()
+        server._dispatch(sink.conn, {
+            "cmd": "submit", "id": 11, "workload": "poly",
+            "opts": "INF_MUL_1X",
+        })
+        [reply] = sink.sent
+        assert "error" not in reply, reply
+        assert reply["result"]["status"] == "completed"
+
+    def test_unknown_workload_is_terminal_job_error(self):
+        server = _server()
+        sink = _Sink()
+        server._dispatch(sink.conn, {
+            "cmd": "submit", "id": 12, "workload": "missing",
+        })
+        [reply] = sink.sent
+        assert "unknown workload" in reply["error"]
+        assert reply["error_type"] == "JobError"
+        assert reply["retryable"] is False
+
+    def test_stats_reply_counts_submissions(self):
+        server = _server()
+        sink = _Sink()
+        server._dispatch(sink.conn, {
+            "cmd": "submit", "id": 13, "job": _job().to_dict(),
+        })
+        server._dispatch(sink.conn, {"cmd": "stats", "id": 14})
+        reply = sink.sent[-1]
+        assert reply["stats"]["submitted"] == 1
+        assert "1 submitted" in reply["summary"]
 
     def test_unknown_command_rejected(self):
         server = _server()
@@ -169,7 +218,7 @@ class TestRealServer:
         server = server_factory("--backend", "inprocess")
         jobs = [_job("poly"), _job("fft"), _job("poly", ("CFO", "DCE"))]
         with NetworkServiceClient("127.0.0.1", server.port) as client:
-            results = client.run_batch(jobs)
+            results = run_batch(client, jobs)
         assert [r.fingerprint for r in results] == [
             j.fingerprint for j in jobs
         ]
@@ -225,7 +274,7 @@ class TestWarmRestart:
         with NetworkServiceClient(
             "127.0.0.1", first_server.port
         ) as client:
-            cold = client.run_batch(jobs)
+            cold = run_batch(client, jobs)
         assert first_server.sigterm() == 0, "SIGTERM drain exits 0"
         assert all(r.status == "completed" for r in cold)
 
@@ -235,7 +284,7 @@ class TestWarmRestart:
         with NetworkServiceClient(
             "127.0.0.1", second_server.port
         ) as client:
-            warm = client.run_batch(jobs)
+            warm = run_batch(client, jobs)
             remote = client.stats
         disk = remote["disk"]
         assert all(r.status == "completed" for r in warm)

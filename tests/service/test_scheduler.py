@@ -103,13 +103,15 @@ def test_single_flight_coalesces_concurrent_duplicates():
         assert service.stats.coalesced == 1
         for handle in backend.handles:
             handle.released = True
-        service.drain(timeout=10.0)
-        lead, follow = service.result(leader), service.result(follower)
+        lead, follow, rest = (
+            service.wait(job_id, timeout=10.0)
+            for job_id in (leader, follower, other)
+        )
         assert lead.ok and follow.ok
         assert follow.coalesced and not lead.coalesced
         assert follow.source == lead.source
         assert follow.job_id == follower
-        assert service.result(other).ok
+        assert rest.ok
 
 
 def test_coalesced_follower_keeps_its_own_deadline():
@@ -130,8 +132,7 @@ def test_coalesced_follower_keeps_its_own_deadline():
         # the leader (no deadline of its own) runs on unaffected
         assert service.result(leader) is None
         backend.handles[0].released = True
-        service.drain(timeout=10.0)
-        assert service.result(leader).ok
+        assert service.wait(leader, timeout=10.0).ok
         assert service.stats.expired == 1
 
 
@@ -141,8 +142,8 @@ def test_queue_limit_rejects_with_structured_failure():
         ServiceConfig(queue_limit=1), backend=backend
     )
     with service:
-        service.submit(_job("fft"))       # dispatched, held by the test
-        service.submit(_job("newton"))    # waits in the queue
+        running = service.submit(_job("fft"))  # dispatched, held
+        queued = service.submit(_job("newton"))  # waits in the queue
         rejected = service.result(service.submit(_job("poly")))
         assert rejected.status == REJECTED
         assert rejected.failure.error_type == "QueueFull"
@@ -151,7 +152,8 @@ def test_queue_limit_rejects_with_structured_failure():
         backend.auto_release = True
         for handle in backend.handles:
             handle.released = True
-        service.drain(timeout=10.0)
+        assert service.wait(running, timeout=10.0).ok
+        assert service.wait(queued, timeout=10.0).ok
 
 
 def test_zero_deadline_job_expires_before_dispatch():
@@ -231,13 +233,11 @@ def test_unknown_backend_rejected():
 
 
 def test_batch_results_in_submission_order():
-    from repro.service import ServiceClient
+    from repro.service import ServiceClient, run_batch
 
     names = ["poly", "fft", "newton", "fft"]
     with ServiceClient(backend="inprocess") as client:
-        results = client.run_batch(
-            [_job(name) for name in names]
-        )
+        results = run_batch(client, [_job(name) for name in names])
         assert [r.ok for r in results] == [True] * 4
         assert results[3].cached
         assert results[1].source == results[3].source
