@@ -33,8 +33,7 @@ path relations between any other pair of statements.  Hence every
 edge whose variable is untouched — and whose endpoints did not move —
 is byte-for-byte the edge a full recomputation would produce.  Any
 touch of a structural marker (``DO``/``DOALL``/``ENDDO``/``IF``/
-``ELSE``/``ENDIF``), or an untagged :meth:`Program.touch`, falls back
-to a full rebuild.
+``ELSE``/``ENDIF``) falls back to a full rebuild.
 
 Set ``REPRO_ANALYSIS_CHECK=1`` (or construct with ``full_check=True``)
 to shadow every incremental update with a from-scratch rebuild and
@@ -313,8 +312,6 @@ class AnalysisManager:
         affected: set[str] = set()
         touched: set[int] = set()
         for change in changes:
-            if change.kind == "opaque":
-                return None  # untagged touch: unknown quad mutated
             touched.add(change.qid)
             old = self._quad_infos.get(change.qid)
             if old is not None:

@@ -674,16 +674,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     program = _load_program_arg(args.program)
     names = tuple(name.strip().upper() for name in args.opts.split(","))
-    from repro.opts.catalog import build_optimizer
-
-    optimizers = {
-        name: (
-            standard_optimizers((name,))[name]
-            if name in STANDARD_SPECS
-            else build_optimizer(name)
-        )
-        for name in names
-    }
+    optimizers = standard_optimizers(names)
     options = DriverOptions(
         apply_all=not args.once,
         verify=args.verify,

@@ -13,7 +13,7 @@ dependences between applications.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.analysis.graph import DependenceGraph
@@ -63,11 +63,6 @@ class DriverOptions:
     #: re-raises with the half-transformed program left in place for
     #: inspection (the pre-containment behaviour)
     on_failure: str = "rollback"
-    #: take a deep snapshot at every transaction begin, guaranteeing
-    #: rollback even past untagged in-place mutations; with ``False``
-    #: only the change-log undo path is available and an uncoverable
-    #: failure raises :class:`repro.genesis.transaction.ContainmentError`
-    transaction_snapshots: bool = True
     #: budget: stop this driver run after this many rolled-back
     #: applications (a pathological spec cannot spin forever)
     max_rollbacks: int = 8
@@ -233,16 +228,16 @@ def _transactional_act(
     checks (IR validation with ``options.validate``, differential
     testing with ``options.verify``): any exception, validation
     failure or oracle divergence restores the pre-apply program state
-    — via change-log undo when possible, the begin-time deep snapshot
-    otherwise — and is returned as a structured
+    through the change-log undo and is returned as a structured
     :class:`ApplicationFailure`.  ``options.on_failure`` selects the
     legacy propagating behaviours instead (``"raise"`` rolls back then
     re-raises; ``"abort"`` re-raises over the half-transformed state).
+    The program is cloned only when ``options.verify`` needs the
+    pre-apply program as the oracle's baseline.
     """
-    need_snapshot = options.transaction_snapshots or options.verify
-    txn = ProgramTransaction(program, snapshot=need_snapshot)
+    baseline = program.clone() if options.verify else None
+    txn = ProgramTransaction(program)
     txn.begin()
-    baseline = txn.snapshot
     phase = "act"
     try:
         optimizer.act(ctx)
@@ -273,7 +268,7 @@ def _transactional_act(
         if options.on_failure == "abort":
             txn.commit()  # leave the damaged state in place
             raise
-        restored = txn.rollback()
+        txn.rollback()
         if options.on_failure == "raise":
             raise
         return ApplicationFailure(
@@ -282,7 +277,7 @@ def _transactional_act(
             error_type=type(error).__name__,
             error=str(error),
             bindings=dict(bindings),
-            restored=restored,
+            restored="log",
         )
     except BaseException:
         # KeyboardInterrupt/SystemExit: restore state, then propagate
@@ -469,24 +464,21 @@ def apply_at_point(
     program: Program,
     point_index: int,
     graph: Optional[DependenceGraph] = None,
-    enforce_restrictions: bool = True,
-    verify: bool = False,
-    verify_trials: int = 3,
-    verify_seed: int = 0,
     manager: Optional[AnalysisManager] = None,
     options: Optional[DriverOptions] = None,
 ) -> DriverResult:
     """Apply an optimizer at the N-th application point only.
 
     This is the interface's "select application points" option; with
-    ``enforce_restrictions=False`` it also implements "override
-    dependence restrictions" (the Depend section's ``no`` clauses are
-    ignored — the user takes responsibility).  The application runs
-    inside the same transaction as the full driver: under
-    ``on_failure="rollback"`` a failure restores the pre-apply state
-    and is recorded in ``result.failures``.  A stale ``point_index``
-    (the program changed since the points were listed) simply finds no
-    point and returns an empty result.
+    ``options.enforce_restrictions=False`` it also implements
+    "override dependence restrictions" (the Depend section's ``no``
+    clauses are ignored — the user takes responsibility).  The
+    application runs inside the same transaction as the full driver,
+    under the same ``options`` (validation, verification, failure
+    policy): under ``on_failure="rollback"`` a failure restores the
+    pre-apply state and is recorded in ``result.failures``.  A stale
+    ``point_index`` (the program changed since the points were listed)
+    simply finds no point and returns an empty result.
     """
     options = options or DriverOptions()
     counters = CostCounters()
@@ -494,7 +486,7 @@ def apply_at_point(
     start = time.perf_counter()
 
     ctx = make_context(program, graph, counters, manager)
-    ctx.enforce_restrictions = enforce_restrictions
+    ctx.enforce_restrictions = options.enforce_restrictions
     optimizer.set_up(ctx)
     seen = 0
     match_gen = optimizer.match(ctx)
@@ -506,15 +498,8 @@ def apply_at_point(
                     if seen == point_index:
                         bindings = _point_bindings(optimizer, ctx)
                         before = counters.snapshot()
-                        point_options = replace(
-                            options,
-                            verify=verify or options.verify,
-                            verify_trials=verify_trials,
-                            verify_seed=verify_seed,
-                            enforce_restrictions=enforce_restrictions,
-                        )
                         failure = _transactional_act(
-                            optimizer, program, ctx, bindings, point_options
+                            optimizer, program, ctx, bindings, options
                         )
                         if failure is not None:
                             result.failures.append(failure)

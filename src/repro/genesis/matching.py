@@ -36,8 +36,7 @@ Falling back to a full sweep — mirroring the splice-vs-rebuild policy
 of the analysis manager — happens whenever the incremental path cannot
 be proven exact:
 
-* the change log was trimmed (``changes_since`` returned ``None``) or
-  contains an ``opaque`` touch;
+* the change log was trimmed (``changes_since`` returned ``None``);
 * a structural marker (``DO``/``ENDDO``/``IF``/...) was touched;
 * the specification is not *worklist-eligible* (see
   :func:`profile_spec`): its seed is not a single ``any``-quantified
@@ -90,7 +89,7 @@ from repro.gospel.ast import (
 )
 from repro.gospel.sema import AnalyzedSpec
 from repro.ir.loops import StructureTable
-from repro.ir.program import Program
+from repro.ir.program import Program, ProgramChange
 from repro.ir.quad import STRUCTURAL_OPS
 
 #: Environment variable enabling the shadow full-rescan check.
@@ -195,9 +194,7 @@ class MatchIndex:
     maintained entry-by-entry from the change log; the loop tables are
     re-derived from the (version-cached) structure table only when a
     structural change occurred, and retained across pure operand
-    modifications.  Marker or opaque touches, and a trimmed log, cause
-    a full rebuild — the same policy the analysis manager applies to
-    the dependence graph.
+    modifications.  A trimmed log causes a full rebuild.
     """
 
     def __init__(self, program: Program):
@@ -234,48 +231,35 @@ class MatchIndex:
             if self._version >= 0
             else None
         )
-        if changes is None or not self._apply_changes(changes, structure):
+        if changes is None:
             self._rebuild(structure)
+        else:
+            self._apply_changes(changes)
         self._version = version
 
-    def _apply_changes(
-        self,
-        changes: Sequence[object],
-        structure: Optional[Callable[[], StructureTable]],
-    ) -> bool:
-        """Maintain the buckets from the log; False forces a rebuild."""
+    def _apply_changes(self, changes: Sequence[ProgramChange]) -> None:
+        """Maintain the buckets from the log."""
         program = self.program
-        structural = False
-        pending: list[tuple[str, int]] = []
+        self.incremental_updates += 1
         for change in changes:
-            kind = change.kind  # type: ignore[attr-defined]
-            qid = change.qid  # type: ignore[attr-defined]
-            if kind == "opaque":
-                return False
+            kind, qid = change.kind, change.qid
             if kind in ("add", "remove", "move"):
-                structural = True
+                self._loops_stale = True
             else:
                 # a modified marker (e.g. rewritten loop bounds) leaves
                 # bucket membership alone but may alter the loop tables
                 old = self._shapes.get(qid)
-                if old is not None and old[0] in _STRUCTURAL_SHAPES:
-                    structural = True
-                elif program.contains(qid) and (
-                    statement_shapes(program.quad(qid))[0]
+                if (old is not None and old[0] in _STRUCTURAL_SHAPES) or (
+                    program.contains(qid)
+                    and statement_shapes(program.quad(qid))[0]
                     in _STRUCTURAL_SHAPES
                 ):
-                    structural = True
-            pending.append((kind, qid))
-        self.incremental_updates += 1
-        for kind, qid in pending:
+                    self._loops_stale = True
             if kind == "move":
                 continue  # bucket membership is position-independent
             self._unindex(qid)
             if kind != "remove" and program.contains(qid):
                 self._index_quad(qid)
-        if structural:
-            self._loops_stale = True
-        return True
 
     def _rebuild(
         self, structure: Optional[Callable[[], StructureTable]]
@@ -781,8 +765,6 @@ class MatchEngine:
         touched: set[int] = set()
         structural = False
         for change in changes:
-            if change.kind == "opaque":
-                return None
             touched.add(change.qid)
             if change.kind in ("add", "remove", "move"):
                 structural = True
@@ -797,8 +779,6 @@ class MatchEngine:
                 quad = program.quad(change.qid)
                 if statement_shapes(quad)[0] in _STRUCTURAL_SHAPES:
                     return None
-            elif before is None and change.kind != "remove":
-                return None  # cannot classify the (now gone) quad
         if structural and profile.position_sensitive:
             return None
         deltas = self.manager.dependence_deltas_since(cache.version)

@@ -161,8 +161,7 @@ def optimize_searched(
     A ``client`` routes candidate evaluation through the optimization
     service (process-pool parallelism + fingerprint-keyed caching).
     """
-    from repro.opts.catalog import build_optimizer, standard_optimizers
-    from repro.opts.specs import STANDARD_SPECS
+    from repro.opts.catalog import standard_optimizers
     from repro.search import SearchConfig, certify, search_program
     from repro.search.space import canonical_source
 
@@ -180,12 +179,8 @@ def optimize_searched(
             seed=config.seed,
             options=config.driver_options(),
         )
-    winners = [
-        standard_optimizers((name,))[name]
-        if name in STANDARD_SPECS
-        else build_optimizer(name)
-        for name in result.best_sequence
-    ]
+    catalog = standard_optimizers(tuple(result.best_sequence))
+    winners = [catalog[name] for name in result.best_sequence]
     report = optimize(
         program, winners, options=config.driver_options(),
         in_place=in_place,

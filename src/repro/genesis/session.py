@@ -213,23 +213,18 @@ class OptimizerSession:
                 SessionEvent(command=command, error=str(error))
             )
             raise
+        options = DriverOptions(
+            apply_all=all_points,
+            recompute_dependences=self.recompute_dependences,
+            enforce_restrictions=not override_dependences,
+            verify=self.verify,
+        )
         if point is not None:
             result = apply_at_point(
-                optimizer,
-                self.program,
-                point,
-                graph=graph,
-                enforce_restrictions=not override_dependences,
-                verify=self.verify,
-                manager=self._manager,
+                optimizer, self.program, point, graph=graph,
+                manager=self._manager, options=options,
             )
         else:
-            options = DriverOptions(
-                apply_all=all_points,
-                recompute_dependences=self.recompute_dependences,
-                enforce_restrictions=not override_dependences,
-                verify=self.verify,
-            )
             result = run_optimizer(
                 optimizer, self.program, options, graph,
                 manager=self._manager, health=self.health,

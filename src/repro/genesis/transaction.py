@@ -10,11 +10,10 @@ module keeps one bad application from corrupting a whole run:
 * :class:`ProgramTransaction` wraps one ``act`` (plus its post-apply
   validation and equivalence verification) so that any exception,
   IR-validation failure or oracle divergence restores the program to
-  its pre-apply state.  The restore prefers the change log
-  (:meth:`repro.ir.program.Program.rollback_to` — cheap, and analysis
-  managers follow along incrementally); when the log cannot cover the
-  damage (an untagged in-place ``touch``) it falls back to the deep
-  snapshot taken at transaction begin.
+  its pre-apply state.  The restore is the change-log undo
+  (:meth:`repro.ir.program.Program.rollback_to`): every logged edit
+  carries its inverse, so the log alone reaches the pinned version,
+  and analysis managers follow the undo incrementally.
 
 * :class:`ApplicationFailure` is the structured record of one
   contained failure — which optimizer, at which bindings, in which
@@ -37,19 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.ir.program import Program, RollbackUnavailable
+from repro.ir.program import Program
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.genesis.generator import GeneratedOptimizer
-
-
-class ContainmentError(RuntimeError):
-    """A failed application could not be rolled back.
-
-    Raised only when the change log cannot undo the damage *and* the
-    transaction was opened without a deep snapshot
-    (``snapshot=False``); the program may be left half-transformed.
-    """
 
 
 class BudgetExceeded(RuntimeError):
@@ -64,8 +54,9 @@ class ApplicationFailure:
     generated action raised), ``"validate"`` (the transformed program
     failed IR validation), or ``"verify"`` (the equivalence oracle
     found a behaviour change).  ``restored`` says how the pre-apply
-    state came back: ``"log"`` (change-log undo), ``"snapshot"``
-    (deep-clone fallback), or ``"none"`` (containment itself failed).
+    state came back: ``"log"`` (the driver's change-log undo) or
+    ``"isolation"`` (a service job failed in its own worker, so the
+    caller's program was never touched).
     """
 
     optimizer: str
@@ -90,7 +81,7 @@ class ApplicationFailure:
 
 
 class ProgramTransaction:
-    """Snapshot/restore scope around one optimization application.
+    """Pin/undo scope around one optimization application.
 
     Usage::
 
@@ -100,50 +91,31 @@ class ProgramTransaction:
             optimizer.act(ctx)
             ...validation / verification...
         except Exception:
-            restored = txn.rollback()   # "log" | "snapshot"
+            txn.rollback()
             ...record ApplicationFailure...
         else:
             txn.commit()
 
     ``begin`` pins the change log (no trimming while the transaction
-    is open) and, unless ``snapshot=False``, takes a deep clone as the
-    fallback restore source.  The log-based restore is preferred: it
-    replays inverse mutations through the ordinary mutation API, so a
-    shared :class:`~repro.analysis.manager.AnalysisManager` follows
-    the rollback *incrementally* instead of rebuilding its dependence
+    is open); ``rollback`` replays the inverse of every edit since the
+    pin through the ordinary mutation API, so a shared
+    :class:`~repro.analysis.manager.AnalysisManager` follows the
+    rollback *incrementally* instead of rebuilding its dependence
     graph from scratch.
     """
 
-    def __init__(self, program: Program, snapshot: bool = True):
+    def __init__(self, program: Program):
         self.program = program
-        self.take_snapshot = snapshot
         self._mark: Optional[int] = None
-        self._snapshot: Optional[Program] = None
-        #: how the last rollback restored state ("log" or "snapshot")
-        self.restored: Optional[str] = None
 
     @property
     def active(self) -> bool:
         return self._mark is not None
 
-    @property
-    def snapshot(self) -> Optional[Program]:
-        """The deep clone taken at begin (also the oracle's baseline)."""
-        return self._snapshot
-
-    def begin(self, snapshot: Optional[Program] = None) -> int:
-        """Open the transaction; returns the pinned version.
-
-        ``snapshot`` lets the caller donate an already-made clone
-        (the verification gate clones the program anyway) instead of
-        paying for a second copy.
-        """
+    def begin(self) -> int:
+        """Open the transaction; returns the pinned version."""
         if self.active:
             raise RuntimeError("transaction already open")
-        if snapshot is not None:
-            self._snapshot = snapshot
-        elif self.take_snapshot:
-            self._snapshot = self.program.clone()
         self._mark = self.program.pin()
         return self._mark
 
@@ -151,37 +123,20 @@ class ProgramTransaction:
         """Close the transaction, keeping the mutations."""
         self._close()
 
-    def rollback(self) -> str:
-        """Restore the pre-``begin`` program state; how it was done.
-
-        Tries the change-log undo first; falls back to the deep
-        snapshot when the log cannot reach the mark.  Raises
-        :class:`ContainmentError` when neither path is available.
-        """
+    def rollback(self) -> int:
+        """Restore the pre-``begin`` program state; returns the number
+        of logged edits undone."""
         if self._mark is None:
             raise RuntimeError("no open transaction to roll back")
         try:
-            self.program.rollback_to(self._mark)
-            self.restored = "log"
-        except RollbackUnavailable as error:
-            if self._snapshot is None:
-                self.restored = "none"
-                self._close()
-                raise ContainmentError(
-                    f"cannot restore program to version {self._mark}: "
-                    f"{error} (and no snapshot was taken)"
-                ) from error
-            self.program.restore_from(self._snapshot)
-            self.restored = "snapshot"
-            self._mark = None  # restore_from cleared the pins
-        self._close()
-        return self.restored
+            return self.program.rollback_to(self._mark)
+        finally:
+            self._close()
 
     def _close(self) -> None:
         if self._mark is not None:
             self.program.unpin(self._mark)
         self._mark = None
-        self._snapshot = None
 
 
 @dataclass

@@ -61,7 +61,7 @@ _MIN_BLOCK = TARGET_BLOCK // 4
 class _Block:
     """One run of consecutive quads plus its lazily maintained caches."""
 
-    __slots__ = ("quads", "index", "segment", "rehash", "start", "ordinal")
+    __slots__ = ("quads", "index", "segment", "start", "ordinal")
 
     def __init__(self, quads: list[Quad]):
         self.quads = quads
@@ -69,9 +69,6 @@ class _Block:
         self.index: Optional[dict[int, int]] = None
         #: concatenated per-quad content hashes; None after a mutation
         self.segment: Optional[bytes] = None
-        #: recompute quad hashes ignoring their caches (set when an
-        #: untagged ``touch`` made every cached hash untrustworthy)
-        self.rehash = False
         #: program position of quads[0]; valid while the store's
         #: prefix array is valid
         self.start = 0
@@ -195,7 +192,6 @@ class QuadStore:
             right = _Block(block.quads[TARGET_BLOCK:])
             del block.quads[TARGET_BLOCK:]
             block.index = None
-            right.rehash = block.rehash
             self._blocks.append(right)
             for moved in right.quads:
                 self._owner[moved.qid] = right
@@ -230,7 +226,6 @@ class QuadStore:
         del block.quads[half:]
         block.index = None
         block.segment = None
-        right.rehash = block.rehash
         self._blocks.insert(block.ordinal + 1, right)
         for moved in right.quads:
             self._owner[moved.qid] = right
@@ -265,7 +260,6 @@ class QuadStore:
                 left.quads.extend(block.quads)
                 left.index = None
                 left.segment = None
-                left.rehash = left.rehash or block.rehash
                 del self._blocks[ordinal]
                 return
         if ordinal + 1 < len(self._blocks):
@@ -276,7 +270,6 @@ class QuadStore:
                 block.quads.extend(right.quads)
                 block.index = None
                 block.segment = None
-                block.rehash = block.rehash or right.rehash
                 del self._blocks[ordinal + 1]
 
     def replace_qid(self, qid: int, quad: Quad) -> None:
@@ -298,27 +291,15 @@ class QuadStore:
         block.quads[block.offset_of(qid)].drop_content_hash()
         block.segment = None
 
-    def invalidate_all_hashes(self) -> None:
-        """An untagged mutation was reported: trust no cached hash."""
-        for block in self._blocks:
-            block.segment = None
-            block.rehash = True
-
     def segments(self) -> Iterator[bytes]:
         """The fingerprint byte segments, in order, rebuilding the
         dirty ones (k mutated blocks → O(k·B) hash work)."""
         for block in self._blocks:
             segment = block.segment
             if segment is None:
-                if block.rehash:
-                    segment = b"".join(
-                        quad.refresh_content_hash() for quad in block.quads
-                    )
-                    block.rehash = False
-                else:
-                    segment = b"".join(
-                        quad.content_hash() for quad in block.quads
-                    )
+                segment = b"".join(
+                    quad.content_hash() for quad in block.quads
+                )
                 block.segment = segment
             yield segment
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -43,10 +42,8 @@ class RollbackUnavailable(IRError):
     """The change log cannot restore the requested program version.
 
     Raised by :meth:`Program.rollback_to` when the log was trimmed past
-    the target version or contains entries without undo information
-    (``opaque`` touches, in-place :meth:`Program.touch` modifications).
-    Callers holding a deep-clone snapshot fall back to
-    :meth:`Program.restore_from`.
+    the target version.  A pinned version is never trimmed, so this
+    cannot happen inside a transaction.
     """
 
 
@@ -62,19 +59,19 @@ class FingerprintMismatchError(AssertionError):
 
 @dataclass(frozen=True)
 class ProgramChange:
-    """One logged mutation, for incremental analysis invalidation.
+    """One logged mutation, for incremental analysis and rollback.
 
-    ``kind`` is one of ``"add"``, ``"remove"``, ``"move"``, ``"modify"``
-    or ``"opaque"`` (an untagged :meth:`Program.touch` — the mutated
-    quad is unknown, so consumers must invalidate everything).  The
-    ``version`` is the program version *after* the mutation completed.
+    ``kind`` is one of ``"add"``, ``"remove"``, ``"move"`` or
+    ``"modify"``.  The ``version`` is the program version *after* the
+    mutation completed.
 
     ``position`` and ``before`` are the undo payload consumed by
     :meth:`Program.rollback_to`: the quad's list position before the
     mutation (for ``remove``/``move``), and a pre-image copy of the
-    quad (for ``remove``/``modify``).  In-place mutations reported
-    through :meth:`Program.touch` have no pre-image (``before`` is
-    None), which makes them non-undoable.
+    quad (for ``remove``/``modify``).  Every kind is undoable: the
+    mutation API records its own pre-images, and an in-place
+    modification is reported through :meth:`Program.touch`, which
+    requires one.
     """
 
     version: int
@@ -82,17 +79,6 @@ class ProgramChange:
     qid: int
     position: int = -1
     before: Optional[Quad] = None
-
-    @property
-    def undoable(self) -> bool:
-        """Whether :meth:`Program.rollback_to` can invert this entry."""
-        if self.kind == "add":
-            return True
-        if self.kind in ("remove", "modify"):
-            return self.before is not None
-        if self.kind == "move":
-            return self.position >= 0
-        return False  # "opaque"
 
 
 #: Retained change-log length; older entries are trimmed and consumers
@@ -334,34 +320,24 @@ class Program:
         self._log("modify", qid, position, before)
         return quad
 
-    def touch(
-        self, qid: Optional[int] = None, before: Optional[Quad] = None
-    ) -> None:
-        """Bump the version counter after an in-place quad mutation.
+    def touch(self, qid: int, before: Quad) -> None:
+        """Report an in-place mutation of the quad named ``qid``.
 
-        Passing the mutated quad's ``qid`` lets incremental analysis
-        consumers (:class:`repro.analysis.manager.AnalysisManager`)
-        invalidate only the touched region; an untagged touch forces
-        them — and the incremental fingerprint — to recompute
-        everything.
-
-        ``before`` — a qid-preserving copy of the quad taken *before*
-        the mutation — makes the touch undoable by
-        :meth:`rollback_to`; without it the entry has no pre-image and
-        any covering transaction must restore from a deep snapshot.
+        ``before`` is a qid-preserving copy of the quad taken *before*
+        the mutation (:meth:`preimage`).  It makes the edit undoable by
+        :meth:`rollback_to`, and the qid lets incremental consumers
+        (:class:`repro.analysis.manager.AnalysisManager`, the match
+        index, the fingerprint) invalidate only what the edit touched.
         """
+        if before.qid != qid:
+            raise IRError(
+                f"pre-image qid {before.qid} does not match touched "
+                f"qid {qid}"
+            )
+        position = self.position(qid)
+        self._store.invalidate_hash(qid)
         self._version += 1
-        if qid is not None and self._store.contains(qid):
-            if before is not None and before.qid != qid:
-                raise IRError(
-                    f"pre-image qid {before.qid} does not match touched "
-                    f"qid {qid}"
-                )
-            self._store.invalidate_hash(qid)
-            self._log("modify", qid, self._store.position(qid), before)
-        else:
-            self._store.invalidate_all_hashes()
-            self._log("opaque", -1)
+        self._log("modify", qid, position, before)
 
     # ------------------------------------------------------------------
     # transactions and rollback
@@ -370,10 +346,8 @@ class Program:
         """Mark the current version as a rollback target.
 
         While any pin is outstanding the change log never trims, so
-        :meth:`rollback_to` can always reach the pinned version (bare
-        in-place :meth:`touch` calls without pre-images remain the one
-        unrecoverable case).  Returns the pinned version; release it
-        with :meth:`unpin`.
+        :meth:`rollback_to` can always reach the pinned version.
+        Returns the pinned version; release it with :meth:`unpin`.
         """
         self._pins.append(self._version)
         return self._version
@@ -394,11 +368,8 @@ class Program:
         version numbers are never reused for different program states.
         Returns the number of entries undone.
 
-        Raises :class:`RollbackUnavailable` when the log was trimmed
-        past ``version`` or contains a non-undoable entry (an untagged
-        touch, or an in-place modification without a pre-image); the
-        program is left *unchanged* in that case so the caller can
-        restore from a deep snapshot instead.
+        Raises :class:`RollbackUnavailable`, leaving the program
+        unchanged, when the log was trimmed past ``version``.
         """
         if version > self._version:
             raise IRError(
@@ -410,13 +381,6 @@ class Program:
             raise RollbackUnavailable(
                 f"change log trimmed past version {version} "
                 f"(floor {self._log_floor})"
-            )
-        blocked = [c for c in pending if not c.undoable]
-        if blocked:
-            raise RollbackUnavailable(
-                f"{len(blocked)} non-undoable change(s) since version "
-                f"{version} (first: {blocked[0].kind} at qid "
-                f"{blocked[0].qid})"
             )
         for change in reversed(pending):
             self._undo(change)
@@ -437,54 +401,9 @@ class Program:
             self._store.insert(change.position, quad)
             self._version += 1
             self._log("move", change.qid, old_position)
-        elif change.kind == "modify":
+        else:  # "modify"
             assert change.before is not None
-            restored = change.before.copy()
-            self.replace(change.qid, restored)
-        else:  # pragma: no cover - "opaque" is filtered by rollback_to
-            raise RollbackUnavailable(f"cannot undo {change.kind!r} entry")
-
-    def restore_from(self, snapshot: "Program") -> None:
-        """Overwrite this program's quads with a snapshot's, in place.
-
-        The deep-clone fallback for :meth:`rollback_to`: object
-        identity is preserved (sessions, managers and contexts keep
-        their references) but the change log cannot describe the bulk
-        restore, so it is cleared and floored — incremental consumers
-        recompute from scratch on their next access.
-        """
-        quads = []
-        for quad in snapshot._store:
-            duplicate = quad.copy()
-            duplicate.qid = quad.qid
-            quads.append(duplicate)
-        self._store.rebuild(quads)
-        self._next_qid = max(self._next_qid, snapshot._next_qid)
-        self._version += 1
-        self._changelog.clear()
-        self._log_floor = self._version
-        self._pins.clear()
-
-    @contextmanager
-    def transaction(self) -> Iterator[int]:
-        """Scope a mutation sequence: roll back on exception.
-
-        Yields the pinned pre-transaction version.  On normal exit the
-        pin is released and the mutations stand; on exception the
-        program is rolled back to the pinned version (when the log
-        allows) before the exception propagates.
-        """
-        mark = self.pin()
-        try:
-            yield mark
-        except BaseException:
-            try:
-                self.rollback_to(mark)
-            finally:
-                self.unpin(mark)
-            raise
-        else:
-            self.unpin(mark)
+            self.replace(change.qid, change.before.copy())
 
     # ------------------------------------------------------------------
     # whole-program operations

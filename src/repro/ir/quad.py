@@ -293,11 +293,6 @@ class Quad:
             self._chash = cached
         return cached
 
-    def refresh_content_hash(self) -> bytes:
-        """Recompute the content hash, ignoring any cached value."""
-        self._chash = None
-        return self.content_hash()
-
     def drop_content_hash(self) -> None:
         """Invalidate the cached content hash (pre-image flow)."""
         self._chash = None
@@ -309,7 +304,7 @@ class Quad:
         """A field-for-field copy with *no* assigned qid.
 
         Copies the instance dict instead of re-running ``__init__``
-        (snapshots copy every quad of a program), but still runs
+        (a clone copies every quad of a program), but still runs
         ``__post_init__``, so a quad mutated into a malformed state
         raises here just as constructing it would.
         """

@@ -122,7 +122,7 @@ def restrict_parallel(program: Program, policy: str) -> Program:
             is_doall = quad.opcode is Opcode.DOALL
             if is_doall:
                 if policy == "outermost" and doall_depth > 0:
-                    quad.opcode = Opcode.DO
+                    _demote(copy, quad.qid)
                     is_doall = False
                 else:
                     doall_depth += 1
@@ -139,10 +139,16 @@ def restrict_parallel(program: Program, policy: str) -> Program:
             end = _matching_enddo(copy, outer)
             for inner in innermost_doall:
                 if inner != outer and outer < inner < end:
-                    copy[outer].opcode = Opcode.DO
+                    _demote(copy, copy[outer].qid)
                     break
-    copy.touch()
     return copy
+
+
+def _demote(program: Program, qid: int) -> None:
+    """Turn the DOALL ``qid`` into a sequential DO, reported to the log."""
+    before = program.preimage(qid)
+    program.quad(qid).opcode = Opcode.DO
+    program.touch(qid, before)
 
 
 def _matching_enddo(program: Program, head_position: int) -> int:

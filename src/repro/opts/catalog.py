@@ -45,8 +45,11 @@ def standard_optimizers(
     names: Optional[tuple[str, ...]] = None,
     policy: StrategyPolicy = StrategyPolicy.HEURISTIC,
 ) -> dict[str, GeneratedOptimizer]:
-    """Generate (and cache) the standard optimizers.
+    """Generate (and cache) catalog optimizers by name.
 
+    ``names`` may be any catalog name (standard, extended, inferred or
+    variant, see :func:`spec_source`); by default, every standard
+    optimizer.  Each (name, policy) is generated once per process.
     Generated optimizers are stateless between runs — all per-run state
     lives in the :class:`~repro.genesis.library.MatchContext` — so one
     generated instance is safely shared across programs and sessions.

@@ -465,16 +465,11 @@ def replay_sequence(
     actually does.
     """
     from repro.genesis.pipeline import optimize
-    from repro.opts.catalog import build_optimizer, standard_optimizers
-    from repro.opts.specs import STANDARD_SPECS
+    from repro.opts.catalog import standard_optimizers
 
     program = parse_program(source)
-    optimizers = [
-        standard_optimizers((name,))[name]
-        if name in STANDARD_SPECS
-        else build_optimizer(name)
-        for name in sequence
-    ]
+    catalog = standard_optimizers(tuple(sequence))
+    optimizers = [catalog[name] for name in sequence]
     optimize(
         program,
         optimizers,

@@ -178,16 +178,11 @@ class LocalEvaluator(Evaluator):
         from repro.frontend.lower import parse_program
         from repro.frontend.unparse import unparse_program
         from repro.genesis.pipeline import optimize
-        from repro.opts.catalog import build_optimizer, standard_optimizers
-        from repro.opts.specs import STANDARD_SPECS
+        from repro.opts.catalog import standard_optimizers
 
         program = parse_program(request.node.source)
         name = request.opt_name
-        optimizer = (
-            standard_optimizers((name,))[name]
-            if name in STANDARD_SPECS
-            else build_optimizer(name)
-        )
+        optimizer = standard_optimizers((name,))[name]
         report = optimize(
             program, [optimizer], options=self.options, in_place=True
         )

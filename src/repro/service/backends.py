@@ -131,16 +131,10 @@ def _execute_optimize(job: Job) -> JobResult:
 
 def _resolve_optimizers(opt_names):
     """Catalog lookups, sharing the generated-optimizer cache."""
-    from repro.opts.catalog import build_optimizer, standard_optimizers
-    from repro.opts.specs import STANDARD_SPECS
+    from repro.opts.catalog import standard_optimizers
 
-    standard = standard_optimizers(
-        tuple(sorted({n for n in opt_names if n in STANDARD_SPECS}))
-    )
-    return [
-        standard[name] if name in standard else build_optimizer(name)
-        for name in opt_names
-    ]
+    catalog = standard_optimizers(tuple(opt_names))
+    return [catalog[name] for name in opt_names]
 
 
 def _execute_experiment(job: Job) -> JobResult:

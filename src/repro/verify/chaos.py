@@ -350,15 +350,6 @@ def run_chaos(
         except ValidationError as error:
             run.valid = False
             run.problems.append(f"invalid final program: {error}")
-        restore_failures = [
-            failure
-            for failure in chaos_report.failures()
-            if failure.restored == "none"
-        ]
-        if restore_failures:
-            run.problems.append(
-                f"{len(restore_failures)} failure(s) were not restored"
-            )
         if not run.quarantined and not run.stopped:
             chaos_out = unparse_program(working, name=working.name)
             run.matches_baseline = chaos_out == baseline_out

@@ -64,7 +64,8 @@ class TestProductCache:
         program = straight_line()
         manager = AnalysisManager(program)
         first = manager.reaching()
-        program.touch(program[0].qid)
+        qid = program[0].qid
+        program.touch(qid, program.preimage(qid))
         assert manager.reaching() is not first
         assert manager.stats.misses["reaching"] == 2
 
@@ -90,21 +91,15 @@ class TestChangeLog:
         v0 = program.version
         added = program.append(Quad(Opcode.ASSIGN, result=Var("w"),
                                     a=Const(3)))
-        program.touch(added.qid)
+        program.touch(added.qid, program.preimage(added.qid))
         program.remove(added.qid)
         kinds = [c.kind for c in program.changes_since(v0)]
         assert kinds == ["add", "modify", "remove"]
 
-    def test_untagged_touch_is_opaque(self):
-        program = straight_line()
-        v0 = program.version
-        program.touch()
-        (change,) = program.changes_since(v0)
-        assert change.kind == "opaque"
-
     def test_clone_resets_log(self):
         program = straight_line()
-        program.touch(program[0].qid)
+        qid = program[0].qid
+        program.touch(qid, program.preimage(qid))
         fresh = program.clone()
         assert fresh.changes_since(fresh.version) == []
         # history strictly before the clone's floor is unavailable
@@ -124,10 +119,11 @@ class TestIncrementalUpdate:
         manager = AnalysisManager(program)
         manager.graph()
         target = program[1]
+        before = program.preimage(target.qid)
         target.a = Const(5)
         target.opcode = Opcode.ASSIGN
         target.b = None
-        program.touch(target.qid)
+        program.touch(target.qid, before)
         assert_matches_full(manager)
         assert manager.stats.incremental_updates == 1
 
@@ -166,7 +162,7 @@ class TestIncrementalUpdate:
         manager = AnalysisManager(program)
         manager.graph()
         target = next(q for q in program if q.defined_array() is not None)
-        program.touch(target.qid)
+        program.touch(target.qid, program.preimage(target.qid))
         manager.graph()
         assert manager.stats.edges_retained > 0
 
@@ -174,7 +170,8 @@ class TestIncrementalUpdate:
         program = loopy()
         manager = AnalysisManager(program)
         manager.graph()
-        program.touch(program[1].qid)
+        qid = program[1].qid
+        program.touch(qid, program.preimage(qid))
         manager.graph()
         assert "cfg" not in manager.stats.misses
 
@@ -190,9 +187,10 @@ class TestIncrementalUpdate:
             scanned.append(quad.qid)
             return original(quad)
 
-        monkeypatch.setattr(Quad, "use_positions", spy)
         target = next(q for q in program if q.opcode is Opcode.ADD)
-        program.touch(target.qid)  # touches only ``s``
+        before = program.preimage(target.qid)
+        monkeypatch.setattr(Quad, "use_positions", spy)
+        program.touch(target.qid, before)  # touches only ``s``
         manager.graph()
         monkeypatch.undo()
         mentions_s = {
@@ -206,8 +204,8 @@ class TestIncrementalUpdate:
         program = straight_line()
         manager = AnalysisManager(program)
         manager.graph()
-        program.touch(program[0].qid)
-        program.touch(program[2].qid)
+        for qid in (program[0].qid, program[2].qid):
+            program.touch(qid, program.preimage(qid))
         program.insert_at(0, Quad(Opcode.ASSIGN, result=Var("q"),
                                   a=Const(1)))
         assert_matches_full(manager)
@@ -215,22 +213,14 @@ class TestIncrementalUpdate:
 
 
 class TestFullRebuildFallbacks:
-    def test_opaque_touch_forces_rebuild(self):
-        program = straight_line()
-        manager = AnalysisManager(program)
-        manager.graph()
-        program.touch()
-        manager.graph()
-        assert manager.stats.full_rebuilds == 2
-        assert manager.stats.incremental_updates == 0
-
     def test_marker_touch_forces_rebuild(self):
         program = loopy()
         manager = AnalysisManager(program)
         manager.graph()
         head = next(q for q in program if q.opcode is Opcode.DO)
+        before = program.preimage(head.qid)
         head.opcode = Opcode.DOALL
-        program.touch(head.qid)
+        program.touch(head.qid, before)
         assert_matches_full(manager)
         assert manager.stats.full_rebuilds == 2
 
@@ -239,8 +229,9 @@ class TestFullRebuildFallbacks:
         manager = AnalysisManager(program)
         manager.graph()
         qid = program[0].qid
+        before = program.preimage(qid)
         for _ in range(5000):  # overflow the change log
-            program.touch(qid)
+            program.touch(qid, before)
         assert_matches_full(manager)
         assert manager.stats.full_rebuilds == 2
 
@@ -248,7 +239,8 @@ class TestFullRebuildFallbacks:
         program = straight_line()
         manager = AnalysisManager(program, incremental=False)
         manager.graph()
-        program.touch(program[0].qid)
+        qid = program[0].qid
+        program.touch(qid, program.preimage(qid))
         manager.graph()
         assert manager.stats.full_rebuilds == 2
         assert manager.stats.incremental_updates == 0
@@ -259,7 +251,8 @@ class TestShadowCheck:
         program = straight_line()
         manager = AnalysisManager(program, full_check=True)
         manager.graph()
-        program.touch(program[0].qid)
+        qid = program[0].qid
+        program.touch(qid, program.preimage(qid))
         manager.graph()
         assert manager.stats.shadow_checks == 1
 
@@ -276,7 +269,8 @@ class TestShadowCheck:
         # sabotage: mutate a quad without logging it, then log a
         # *different* quad so the splice retains stale edges
         program[1].a = Var("z")
-        program.touch(program[3].qid)
+        qid = program[3].qid
+        program.touch(qid, program.preimage(qid))
         with pytest.raises(IncrementalMismatchError):
             manager.graph()
         assert stale is not None

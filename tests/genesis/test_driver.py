@@ -22,6 +22,19 @@ program t
 end
 """
 
+#: two definitions of ``x`` reach its use: CTP's ``no`` clause refuses
+TWO_DEFS = """
+program t
+  integer x, y
+  x = 1
+  if (y > 0) then
+    x = 2
+  end if
+  y = x
+  write y
+end
+"""
+
 
 @pytest.fixture()
 def program():
@@ -130,6 +143,18 @@ class TestApplyAtPoint:
         assert result.applied == 0
         assert format_program(program) == before
 
+    def test_restrictions_come_from_options(self, optimizers):
+        enforced = apply_at_point(
+            optimizers["CTP"], parse_program(TWO_DEFS), 0,
+            options=DriverOptions(),
+        )
+        assert enforced.applied == 0
+        overridden = apply_at_point(
+            optimizers["CTP"], parse_program(TWO_DEFS), 0,
+            options=DriverOptions(enforce_restrictions=False),
+        )
+        assert overridden.applied == 1
+
 
 class TestOverrideRestrictions:
     def test_override_ignores_no_clauses(self, optimizers):
@@ -154,20 +179,9 @@ class TestOverrideRestrictions:
         assert forced  # the user may override (and take the blame)
 
     def test_override_application(self, optimizers):
-        program = parse_program(
-            """
-            program t
-              integer x, y
-              x = 1
-              if (y > 0) then
-                x = 2
-              end if
-              y = x
-              write y
-            end
-            """
-        )
+        program = parse_program(TWO_DEFS)
         result = apply_at_point(
-            optimizers["CTP"], program, 0, enforce_restrictions=False
+            optimizers["CTP"], program, 0,
+            options=DriverOptions(enforce_restrictions=False),
         )
         assert result.applied == 1

@@ -8,11 +8,10 @@ from repro.genesis.driver import DriverOptions, run_optimizer
 from repro.genesis.pipeline import optimize
 from repro.genesis.transaction import (
     ApplicationFailure,
-    ContainmentError,
     HealthLedger,
     ProgramTransaction,
 )
-from repro.ir.types import Var
+from repro.ir.program import Program
 from repro.opts.catalog import build_optimizer
 from repro.verify.chaos import ChaosConfig, chaotic
 
@@ -60,29 +59,28 @@ class TestProgramTransaction:
         txn.begin()
         target = next(q for q in program.quads if not q.is_structural())
         program.remove(target.qid)
-        assert txn.rollback() == "log"
+        assert txn.rollback() == 1  # one logged edit undone
+        assert not txn.active
         assert _unparse(program) == baseline
 
-    def test_rollback_falls_back_to_snapshot(self):
-        program = _program()
-        baseline = _unparse(program)
-        txn = ProgramTransaction(program)
-        txn.begin()
-        target = next(q for q in program.quads if q.is_assignment())
-        target.result = Var("zz")
-        program.touch()  # untagged: log cannot undo this
-        assert txn.rollback() == "snapshot"
-        assert _unparse(program) == baseline
 
-    def test_no_snapshot_and_uncoverable_log_raises(self):
+class TestNoPerApplicationClone:
+    def test_unverified_pipeline_makes_no_clone(self, monkeypatch):
+        clones = []
+        real_clone = Program.clone
+
+        def counting_clone(self):
+            clones.append(self.version)
+            return real_clone(self)
+
+        monkeypatch.setattr(Program, "clone", counting_clone)
         program = _program()
-        txn = ProgramTransaction(program, snapshot=False)
-        txn.begin()
-        target = next(q for q in program.quads if q.is_assignment())
-        target.result = Var("zz")
-        program.touch()
-        with pytest.raises(ContainmentError):
-            txn.rollback()
+        passes = [build_optimizer(name) for name in ("CTP", "CFO", "DCE")]
+        report = optimize(
+            program, passes, DriverOptions(apply_all=True), in_place=True
+        )
+        assert report.total_applications >= 3
+        assert clones == []
 
 
 class TestHealthLedger:
@@ -128,7 +126,7 @@ class TestDriverContainment:
         assert result.failures
         assert result.failures[0].phase == "act"
         assert result.failures[0].error_type == "ChaosError"
-        assert result.failures[0].restored in ("log", "snapshot")
+        assert result.failures[0].restored == "log"
         # rollback restored byte-identical source
         assert _unparse(program) == baseline
 

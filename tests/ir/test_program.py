@@ -114,7 +114,7 @@ class TestMutation:
         program.remove(0)
         assert program.version > version
         version = program.version
-        program.touch()
+        program.touch(1, program.preimage(1))
         assert program.version > version
 
 

@@ -1,4 +1,4 @@
-"""Program change-log undo: pin/rollback/restore/transaction."""
+"""Program change-log undo: pin/rollback and the touch contract."""
 
 import pytest
 
@@ -77,16 +77,6 @@ class TestRollbackTo:
         assert program.rollback_to(mark) == 0
         program.unpin(mark)
 
-    def test_opaque_touch_defeats_log_rollback(self):
-        program = _program()
-        mark = program.pin()
-        target = next(q for q in program.quads if not q.is_structural())
-        target.result = Var("y")
-        program.touch()  # untagged: no pre-image recorded
-        with pytest.raises(RollbackUnavailable):
-            program.rollback_to(mark)
-        program.unpin(mark)
-
     def test_trimmed_log_rollback_unavailable(self):
         program = _program()
         stale = program.version
@@ -109,57 +99,41 @@ class TestRollbackTo:
         assert _unparse(program) == baseline
 
 
-class TestRestoreFrom:
-    def test_restore_is_in_place_and_exact(self):
+class TestTouchContract:
+    def test_touch_requires_qid_and_preimage(self):
         program = _program()
-        snapshot = program.clone()
-        baseline = _unparse(program)
-        for quad in list(program.quads):
-            if not quad.is_structural():
-                program.remove(quad.qid)
-        program.restore_from(snapshot)
-        assert _unparse(program) == baseline
-        # identity preserved: callers holding the object see the restore
-        assert program.quads  # not a fresh empty object
-
-    def test_restore_moves_version_forward(self):
-        program = _program()
-        snapshot = program.clone()
-        version = program.version
         target = next(q for q in program.quads if not q.is_structural())
-        program.remove(target.qid)
-        program.restore_from(snapshot)
-        assert program.version > version
+        with pytest.raises(TypeError):
+            program.touch()  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            program.touch(target.qid)  # type: ignore[call-arg]
 
-    def test_fresh_qids_after_restore_do_not_collide(self):
+    def test_touch_rejects_foreign_preimage(self):
         program = _program()
-        snapshot = program.clone()
-        program.restore_from(snapshot)
-        new = program.append(Quad(Opcode.WRITE, a=Var("x")))
-        assert new.qid not in [q.qid for q in program.quads[:-1]]
+        first, second = [
+            q for q in program.quads if not q.is_structural()
+        ][:2]
+        version = program.version
+        with pytest.raises(IRError):
+            program.touch(first.qid, program.preimage(second.qid))
+        with pytest.raises(IRError):
+            program.touch(10_000, program.preimage(first.qid))
+        assert program.version == version
 
-
-class TestTransactionContextManager:
-    def test_commit_keeps_changes(self):
-        program = _program()
-        with program.transaction():
-            target = next(
-                q for q in program.quads if not q.is_structural()
-            )
-            program.remove(target.qid)
-        assert target.qid not in [q.qid for q in program.quads]
-
-    def test_exception_rolls_back(self):
+    def test_touched_edit_rolls_back_exactly(self):
         program = _program()
         baseline = _unparse(program)
-        with pytest.raises(RuntimeError):
-            with program.transaction():
-                target = next(
-                    q for q in program.quads if not q.is_structural()
-                )
-                program.remove(target.qid)
-                raise RuntimeError("boom")
+        fingerprint = program.fingerprint()
+        mark = program.pin()
+        target = next(q for q in program.quads if q.is_assignment())
+        before = program.preimage(target.qid)
+        target.result = Var("y")
+        program.touch(target.qid, before)
+        assert program.fingerprint() != fingerprint
+        program.rollback_to(mark)
+        program.unpin(mark)
         assert _unparse(program) == baseline
+        assert program.fingerprint() == fingerprint
 
 
 class TestManagerCoherence:

@@ -1,8 +1,8 @@
 """Property tests for the blocked-list IR container.
 
 Random edit scripts — inserts, removes, moves, replaces, touches,
-rollbacks, clones and deep restores — drive a :class:`Program` next to
-a plain-list model.  After every step the order-maintenance index must
+rollbacks and clones — drive a :class:`Program` next to a plain-list
+model.  After every step the order-maintenance index must
 agree with the model (``position`` / ``qids`` / iteration), the
 incremental fingerprint must equal a full recompute, and the store's
 own structural invariants must hold.  A separate case shrinks the
@@ -150,22 +150,25 @@ def test_rollback_restores_exact_state(seed, size, steps):
 
 @settings(**COMMON)
 @given(st.integers(0, 10**6), st.integers(2, 25), st.integers(1, 20))
-def test_clone_and_restore_from(seed, size, steps):
-    """Clones are independent; ``restore_from`` recovers a snapshot's
-    content (with fresh versioning) and the fingerprint agrees."""
+def test_rollback_matches_pre_edit_clone(seed, size, steps):
+    """Clones are independent of later edits, and a log rollback
+    reproduces the clone taken before them (the rollback reference)."""
     rng = random.Random(seed)
     program, model = _seed_program(rng, size)
     snapshot = program.clone()
     snapshot_fp = snapshot.fingerprint()
     assert snapshot_fp == program.fingerprint()
+    version = program.pin()
     for _ in range(steps):
         _edit_once(program, model, rng)
     # the clone never sees the edits
     assert snapshot.fingerprint() == snapshot_fp
     snapshot._store.check_invariants()
-    program.restore_from(snapshot)
+    program.rollback_to(version)
+    program.unpin(version)
     assert program.fingerprint() == snapshot_fp
     assert [str(a) for a in program] == [str(b) for b in snapshot]
+    assert program.qids() == snapshot.qids()
     program._store.check_invariants()
     assert program.fingerprint() == program._full_fingerprint()
 

@@ -45,6 +45,7 @@ def _mutate_once(program: Program, rng: random.Random) -> bool:
     kind = rng.choice(("modify", "add", "remove", "move"))
     if kind == "modify":
         quad = rng.choice(candidates)
+        before = program.preimage(quad.qid)
         if quad.opcode is Opcode.ASSIGN:
             quad.a = rng.choice(
                 (Const(rng.randint(0, 9)), Var(rng.choice(_NAMES)))
@@ -53,7 +54,7 @@ def _mutate_once(program: Program, rng: random.Random) -> bool:
             quad.a = Var(rng.choice(_NAMES))
         else:
             return False
-        program.touch(quad.qid)
+        program.touch(quad.qid, before)
         return True
     if kind == "add":
         anchor = rng.choice(candidates)
@@ -134,8 +135,9 @@ def test_marker_mutation_falls_back_soundly(seed):
     if not heads:
         return
     head = heads[0]
+    before = program.preimage(head.qid)
     head.opcode = Opcode.DOALL
-    program.touch(head.qid)
+    program.touch(head.qid, before)
     got = manager.graph().edge_set()
     want = compute_dependences(program).edge_set()
     assert got == want

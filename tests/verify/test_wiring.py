@@ -76,15 +76,34 @@ class TestDriverGate:
         program = parse_program(REDEFINED)
         pristine = list(map(str, parse_program(REDEFINED)))
         result = apply_at_point(
-            broken_optimizer("BROKEN_CTP"), program, 0, verify=True
+            broken_optimizer("BROKEN_CTP"), program, 0,
+            options=DriverOptions(verify=True),
         )
         assert result.failures and not result.applications
         assert list(map(str, program)) == pristine
         with pytest.raises(VerificationError):
             apply_at_point(
-                broken_optimizer("BROKEN_CTP"), program, 0, verify=True,
-                options=DriverOptions(on_failure="raise"),
+                broken_optimizer("BROKEN_CTP"), program, 0,
+                options=DriverOptions(verify=True, on_failure="raise"),
             )
+
+    def test_apply_at_point_oracle_follows_options(self, monkeypatch):
+        import repro.verify.oracle as oracle_mod
+
+        built = []
+        real = oracle_mod.EquivalenceOracle
+
+        def spy(**kwargs):
+            built.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(oracle_mod, "EquivalenceOracle", spy)
+        result = apply_at_point(
+            broken_optimizer("BROKEN_CTP"), parse_program(REDEFINED), 0,
+            options=DriverOptions(verify=True, verify_trials=9, verify_seed=7),
+        )
+        assert result.failures[0].phase == "verify"
+        assert built == [{"trials": 9, "seed": 7}]
 
 
 class TestPipelineGate:
