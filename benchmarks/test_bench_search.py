@@ -3,9 +3,10 @@
 Runs the same iterated-greedy search on the same evaluation budget two
 ways:
 
-* **sequential** — fingerprint pruning off, no memo, no service: every
-  candidate evaluation runs the driver, the way a naive phase-ordering
-  loop would;
+* **sequential** — fingerprint pruning off, evaluated through an
+  in-process service whose result cache holds nothing
+  (``cache_capacity=0``): every candidate evaluation runs the driver,
+  the way a naive phase-ordering loop would;
 * **service-cached** — fingerprint pruning on and every candidate
   evaluated through the optimization service, so convergent orderings
   and repeated ``(state, pass)`` extensions are result-cache hits
@@ -39,7 +40,7 @@ import time
 from pathlib import Path
 
 from bench_schema import host_info, write_bench
-from repro.search import LocalEvaluator, SearchConfig, certify, search_program
+from repro.search import SearchConfig, certify, search_program
 from repro.service import ServiceClient
 from repro.workloads.suite import workload
 
@@ -72,16 +73,12 @@ def test_search_cache_pruning():
     sizes = []
     for budget in BUDGETS:
         sequential_config = _config(budget, prune=False)
-        start = time.perf_counter()
-        sequential = search_program(
-            source,
-            sequential_config,
-            evaluator=LocalEvaluator(
-                options=sequential_config.driver_options(), memo=False
-            ),
-            name=WORKLOAD,
-        )
-        sequential_s = time.perf_counter() - start
+        with ServiceClient(backend="inprocess", cache_capacity=0) as client:
+            start = time.perf_counter()
+            sequential = search_program(
+                source, sequential_config, client=client, name=WORKLOAD
+            )
+            sequential_s = time.perf_counter() - start
 
         cached_config = _config(budget, prune=True)
         with ServiceClient(backend="inprocess") as client:

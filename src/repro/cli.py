@@ -1056,7 +1056,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         objective=args.model,
         prune=not args.no_prune,
-        apply_all=not args.once,
+        options=DriverOptions(apply_all=not args.once),
     )
     if args.programs:
         targets = [_load_source_arg(item) for item in args.programs]

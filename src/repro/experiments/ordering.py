@@ -130,7 +130,7 @@ def ordering_search_config() -> SearchConfig:
         strategy="exhaustive",
         depth=len(TRIO),
         budget=64,
-        apply_all=False,
+        options=DriverOptions(apply_all=False),
         allow_repeats=False,
         record_leaves=True,
         prune=False,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.analysis.graph import DependenceGraph
 from repro.analysis.manager import AnalysisManager, manager_for
@@ -43,8 +43,6 @@ class DriverOptions:
     recompute_dependences: bool = True
     #: honour the Depend section's 'no' restrictions
     enforce_restrictions: bool = True
-    #: accept only points whose bindings satisfy this predicate
-    point_filter: Optional[Callable[[dict[str, object]], bool]] = None
     #: validate IR well-formedness after every application; under
     #: containment a validation failure rolls the application back
     validate: bool = False
@@ -379,10 +377,6 @@ def run_optimizer(
             for signature, bindings in sweep.points:
                 if signature in applied_signatures:
                     continue
-                if options.point_filter is not None and not (
-                    options.point_filter(bindings)
-                ):
-                    continue
                 chosen_signature = signature
                 chosen = dict(bindings)
                 break
@@ -407,10 +401,6 @@ def run_optimizer(
                     bindings = _point_bindings(optimizer, ctx)
                     signature = _signature(bindings)
                     if signature in applied_signatures:
-                        continue
-                    if options.point_filter is not None and not (
-                        options.point_filter(bindings)
-                    ):
                         continue
                     applied_signatures.add(signature)
                     chosen = bindings

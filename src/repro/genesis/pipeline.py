@@ -166,7 +166,9 @@ def optimize_searched(
     from repro.search.space import canonical_source
 
     config = SearchConfig(
-        opt_names=tuple(opt_names), options=options, **search_knobs
+        opt_names=tuple(opt_names),
+        options=options or DriverOptions(apply_all=True),
+        **search_knobs,
     )
     source = canonical_source(program)
     result = search_program(source, config, client=client,

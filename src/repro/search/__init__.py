@@ -9,7 +9,8 @@ program, each candidate ordering evaluated through the optimization
 service so fingerprint-identical intermediate states are free cache
 hits, convergent branches pruned via ``Program.fingerprint()``, and
 every winning pipeline routed through the differential-testing oracle
-before it is reported.  See ``docs/search.md``.
+before it is reported.  A search given no service client runs through
+an in-process one.  See ``docs/search.md``.
 """
 
 from repro.search.engine import (
@@ -23,11 +24,8 @@ from repro.search.engine import (
     search_suite,
 )
 from repro.search.space import (
-    EvalOutcome,
     EvalRequest,
-    Evaluator,
     EvaluatorStats,
-    LocalEvaluator,
     SearchError,
     SearchNode,
     ServiceEvaluator,
@@ -51,11 +49,8 @@ __all__ = [
     "replay_sequence",
     "search_program",
     "search_suite",
-    "EvalOutcome",
     "EvalRequest",
-    "Evaluator",
     "EvaluatorStats",
-    "LocalEvaluator",
     "SearchError",
     "SearchNode",
     "ServiceEvaluator",

@@ -1,7 +1,7 @@
 """The phase-ordering search engine.
 
-The engine owns everything the strategies share: the evaluator (local
-or service-backed, see :mod:`repro.search.space`), the budget, the
+The engine owns everything the strategies share: the service-backed
+evaluator (see :mod:`repro.search.space`), the budget, the
 fingerprint-keyed transposition table that prunes convergent branches,
 the deterministic visit log, and the incumbent best.  A
 :class:`~repro.search.strategy.SearchStrategy` only decides *which*
@@ -26,7 +26,8 @@ base program on randomized seeded environments.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.frontend.lower import parse_program
@@ -36,14 +37,14 @@ from repro.machine.estimate import estimate_time
 from repro.machine.models import ALL_MODELS, MachineModel
 from repro.search.space import (
     EvalRequest,
-    Evaluator,
     EvaluatorStats,
-    LocalEvaluator,
     SearchError,
     SearchNode,
     ServiceEvaluator,
     canonical_source,
 )
+from repro.service.client import ServiceClient
+from repro.service.job import JobResult
 
 #: The objective machine models by CLI/config name.
 MODELS_BY_NAME: dict[str, MachineModel] = {
@@ -76,13 +77,14 @@ class SearchConfig:
     prune: bool = True
     #: may a pass appear more than once in a sequence
     allow_repeats: bool = True
-    #: run each pass to exhaustion (False: first point only, the
-    #: user-directed mode the ordering experiment reproduces)
-    apply_all: bool = True
     #: keep full-depth trajectories (exhaustive studies read these)
     record_leaves: bool = False
-    #: driver knobs for every evaluation (None: built from apply_all)
-    options: Optional[DriverOptions] = None
+    #: driver knobs for every evaluation; ``apply_all=False`` applies
+    #: each pass at its first point only, the user-directed mode the
+    #: ordering experiment reproduces
+    options: DriverOptions = field(
+        default_factory=lambda: DriverOptions(apply_all=True)
+    )
 
     def __post_init__(self) -> None:
         self.opt_names = tuple(self.opt_names)
@@ -101,9 +103,7 @@ class SearchConfig:
             )
 
     def driver_options(self) -> DriverOptions:
-        if self.options is not None:
-            return self.options
-        return DriverOptions(apply_all=self.apply_all)
+        return self.options
 
 
 @dataclass
@@ -217,25 +217,9 @@ class SearchResult:
 class PhaseOrderingEngine:
     """Shared machinery under every search strategy."""
 
-    def __init__(
-        self,
-        config: SearchConfig,
-        evaluator: Optional[Evaluator] = None,
-        client=None,
-    ):
-        if evaluator is not None and client is not None:
-            raise SearchError("pass an evaluator or a client, not both")
+    def __init__(self, config: SearchConfig, client):
         self.config = config
-        if evaluator is not None:
-            self.evaluator = evaluator
-        elif client is not None:
-            self.evaluator = ServiceEvaluator(
-                client, options=config.driver_options()
-            )
-        else:
-            self.evaluator = LocalEvaluator(
-                options=config.driver_options()
-            )
+        self.evaluator = ServiceEvaluator(client, config.driver_options())
         self.model = MODELS_BY_NAME[config.objective]
         self.root: Optional[SearchNode] = None
         self.best: Optional[SearchNode] = None
@@ -320,11 +304,11 @@ class PhaseOrderingEngine:
             if not wanted:
                 return []
         requests = [EvalRequest(node, name) for name in wanted]
-        outcomes = self.evaluator.evaluate(requests)
+        results = self.evaluator.evaluate(requests)
         prune = self.config.prune if dedup is None else dedup
         children: list[SearchNode] = []
-        for request, outcome in zip(requests, outcomes):
-            child = self._admit(request, outcome)
+        for request, result in zip(requests, results):
+            child = self._admit(request, result)
             if child is None:
                 continue
             unchanged = child.fingerprint == node.fingerprint
@@ -339,17 +323,19 @@ class PhaseOrderingEngine:
             children.append(child)
         return children
 
-    def _admit(self, request: EvalRequest, outcome) -> Optional[SearchNode]:
-        """Turn an evaluation outcome into a state; track the best."""
-        if not outcome.ok:
+    def _admit(
+        self, request: EvalRequest, result: JobResult
+    ) -> Optional[SearchNode]:
+        """Turn an evaluation's job result into a state; track the best."""
+        if not result.ok or result.source is None:
             return None
-        program = parse_program(outcome.source)
+        program = parse_program(result.source)
         child = SearchNode(
             sequence=request.node.sequence + (request.opt_name,),
-            source=outcome.source,
+            source=result.source,
             fingerprint=program.fingerprint(),
             score=self._score(program),
-            applied=request.node.applied + (outcome.applications,),
+            applied=request.node.applied + (result.applications,),
         )
         self.visit_order.append(child.sequence)
         # strictly-better-only: the incumbent is the *first* visit
@@ -365,14 +351,14 @@ class PhaseOrderingEngine:
         if self.remaining_budget < 1:
             self.exhausted = True
             return None
-        outcome = self.evaluator.evaluate([EvalRequest(node, opt_name)])[0]
-        child = self._admit(EvalRequest(node, opt_name), outcome)
+        request = EvalRequest(node, opt_name)
+        child = self._admit(request, self.evaluator.evaluate([request])[0])
         if child is not None:
             self.visited.add(child.fingerprint)
         return child
 
     def replay(self, sequence: Sequence[str]) -> Optional[SearchNode]:
-        """Walk a known sequence from the root (memo/cache hits)."""
+        """Walk a known sequence from the root (result-cache hits)."""
         assert self.root is not None
         node: Optional[SearchNode] = self.root
         for name in sequence:
@@ -392,11 +378,16 @@ class PhaseOrderingEngine:
 def search_program(
     program,
     config: SearchConfig,
-    evaluator: Optional[Evaluator] = None,
     client=None,
     name: str = "",
 ) -> SearchResult:
-    """Search pass orderings for one program (or source text)."""
+    """Search pass orderings for one program (or source text).
+
+    Candidates are evaluated through ``client``.  Without one, the
+    search opens an in-process service and closes it when it ends; its
+    result cache holds ``config.budget`` entries, and a search stores
+    at most one result per evaluation, so nothing is evicted mid-search.
+    """
     from repro.search.strategy import make_strategy
 
     if isinstance(program, Program):
@@ -405,12 +396,17 @@ def search_program(
     else:
         label = name or "program"
         source = str(program)
-    engine = PhaseOrderingEngine(config, evaluator=evaluator, client=client)
     strategy = make_strategy(config)
-    started = time.perf_counter()
-    engine.start(source)
-    strategy.run(engine)
-    elapsed = time.perf_counter() - started
+    service = (
+        nullcontext(client) if client is not None
+        else ServiceClient(backend="inprocess", cache_capacity=config.budget)
+    )
+    with service as evaluating:
+        engine = PhaseOrderingEngine(config, evaluating)
+        started = time.perf_counter()
+        engine.start(source)
+        strategy.run(engine)
+        elapsed = time.perf_counter() - started
 
     assert engine.root is not None and engine.best is not None
     base = parse_program(engine.root.source)

@@ -7,33 +7,31 @@ same canonical content hash the service result cache and the match
 indexes key on — so two orderings that converge to the same program
 *are* the same state, wherever they sit in the search tree.
 
-Extending a state by one pass is an :class:`EvalRequest`; executing it
-is the evaluator's job.  Two interchangeable evaluators implement the
-same contract:
+Extending a state by one pass is an :class:`EvalRequest`, and
+:class:`ServiceEvaluator` is the one way to execute it: each extension
+is a one-pass :class:`~repro.service.job.Job` submitted through an
+optimization service client, so the service's fingerprint-keyed result
+cache is the search's only memo.  Fingerprint-identical intermediate
+states are *free cache hits*, identical in-flight extensions coalesce
+(single-flight), and a process-pool backend evaluates a whole frontier
+concurrently.  A search given no client runs through an in-process
+service (see :func:`repro.search.engine.search_program`).
 
-* :class:`LocalEvaluator` runs the transactional pipeline
-  (:func:`repro.genesis.pipeline.optimize`) in-process, with an
-  optional ``(fingerprint, pass)``-keyed memo — the serial baseline;
-* :class:`ServiceEvaluator` submits each extension as a one-pass
-  :class:`~repro.service.job.Job` through an
-  :class:`~repro.service.scheduler.OptimizationService`, so
-  fingerprint-identical intermediate states are *free cache hits*
-  (and identical in-flight extensions coalesce, single-flight), and a
-  process-pool backend evaluates a whole frontier concurrently.
-
-Both run the exact same driver path a ``genesis optimize`` run uses, so
-a sequence found by search replays byte-identically through the
-pipeline — the property the oracle-certification gate and the
-``tests/search`` replay properties assert.
+Every backend runs the exact same driver path a ``genesis optimize``
+run uses, so a sequence found by search replays byte-identically
+through the pipeline — the property the oracle-certification gate and
+the ``tests/search`` replay properties assert.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.genesis.driver import DriverOptions
 from repro.ir.program import Program
+from repro.service.client import run_batch
+from repro.service.job import Job, JobResult, options_to_dict
 
 
 class SearchError(Exception):
@@ -75,30 +73,14 @@ class EvalRequest:
 
 
 @dataclass
-class EvalOutcome:
-    """What one extension produced.
-
-    ``executed`` is False when the result came from a memo entry, the
-    service result cache, or a coalesced single-flight ride — i.e. no
-    backend actually ran the driver for this request.
-    """
-
-    source: str
-    applications: int = 0
-    executed: bool = True
-    ok: bool = True
-    failure: str = ""
-
-
-@dataclass
 class EvaluatorStats:
-    """Work accounting shared by every evaluator."""
+    """Work accounting of one search's evaluations."""
 
     #: extensions requested (the search budget counts these)
     evaluations: int = 0
     #: extensions that actually ran the driver on a backend
     executed: int = 0
-    #: extensions served from a memo, the result cache, or coalescing
+    #: extensions served from the result cache or by coalescing
     cache_hits: int = 0
     #: extensions that failed structurally (worker death, bad job)
     failures: int = 0
@@ -118,81 +100,7 @@ class EvaluatorStats:
         )
 
 
-class Evaluator:
-    """The contract both evaluators implement."""
-
-    stats: EvaluatorStats
-
-    def evaluate(self, requests: Sequence[EvalRequest]) -> list[EvalOutcome]:
-        """One outcome per request, in request order."""
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        """Release owned resources (service-backed evaluators)."""
-
-
-class LocalEvaluator(Evaluator):
-    """Serial in-process evaluation through the transactional pipeline.
-
-    With ``memo=True`` (the default) repeated ``(fingerprint, pass)``
-    extensions are served from an in-memory memo — the local analogue
-    of the service's fingerprint-keyed result cache.  ``memo=False``
-    is the honest sequential baseline the search benchmark measures
-    against.
-    """
-
-    def __init__(self, options: Optional[DriverOptions] = None,
-                 memo: bool = True):
-        self.options = options or DriverOptions(apply_all=True)
-        self.stats = EvaluatorStats()
-        self._memo: Optional[dict[tuple[str, str], EvalOutcome]] = (
-            {} if memo else None
-        )
-
-    def evaluate(self, requests: Sequence[EvalRequest]) -> list[EvalOutcome]:
-        return [self._evaluate_one(request) for request in requests]
-
-    def _evaluate_one(self, request: EvalRequest) -> EvalOutcome:
-        self.stats.evaluations += 1
-        key = (request.node.fingerprint, request.opt_name)
-        if self._memo is not None:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                return EvalOutcome(
-                    source=hit.source,
-                    applications=hit.applications,
-                    executed=False,
-                    ok=hit.ok,
-                    failure=hit.failure,
-                )
-        outcome = self._run(request)
-        self.stats.executed += 1
-        if not outcome.ok:
-            self.stats.failures += 1
-        if self._memo is not None:
-            self._memo[key] = outcome
-        return outcome
-
-    def _run(self, request: EvalRequest) -> EvalOutcome:
-        from repro.frontend.lower import parse_program
-        from repro.frontend.unparse import unparse_program
-        from repro.genesis.pipeline import optimize
-        from repro.opts.catalog import standard_optimizers
-
-        program = parse_program(request.node.source)
-        name = request.opt_name
-        optimizer = standard_optimizers((name,))[name]
-        report = optimize(
-            program, [optimizer], options=self.options, in_place=True
-        )
-        return EvalOutcome(
-            source=unparse_program(program, name=program.name),
-            applications=report.total_applications,
-        )
-
-
-class ServiceEvaluator(Evaluator):
+class ServiceEvaluator:
     """Evaluation through an :class:`OptimizationService`.
 
     Every extension is one single-pass job; the service's
@@ -205,7 +113,7 @@ class ServiceEvaluator(Evaluator):
     rejected with ``QueueFull``.
     """
 
-    def __init__(self, client, options: Optional[DriverOptions] = None):
+    def __init__(self, client, options: DriverOptions):
         # duck-typed so the network client (repro.service.net) plugs in
         # exactly like the in-process one
         for method in ("submit", "wait"):
@@ -216,54 +124,30 @@ class ServiceEvaluator(Evaluator):
                     "repro.service.net.NetworkServiceClient)"
                 )
         self.client = client
-        self.options = options or DriverOptions(apply_all=True)
+        self.options = options
         self.stats = EvaluatorStats()
 
-    def evaluate(self, requests: Sequence[EvalRequest]) -> list[EvalOutcome]:
-        from repro.service.client import run_batch
-        from repro.service.job import Job
-
+    def evaluate(self, requests: Sequence[EvalRequest]) -> list[JobResult]:
+        """One job result per request, in request order."""
         self.stats.evaluations += len(requests)
         jobs = [
             Job(
                 source=request.node.source,
                 opt_names=(request.opt_name,),
-                options=_options_dict(self.options),
+                options=options_to_dict(self.options),
                 fingerprint=request.node.fingerprint,
             )
             for request in requests
         ]
-        return [
-            self._outcome(result) for result in run_batch(self.client, jobs)
-        ]
-
-    def _outcome(self, result) -> EvalOutcome:
-        served = bool(result.cached or result.coalesced)
-        if served:
-            self.stats.cache_hits += 1
-        else:
-            self.stats.executed += 1
-        if not result.ok or result.source is None:
-            self.stats.failures += 1
-            failure = (
-                f"{result.failure.error_type}: {result.failure.error}"
-                if result.failure is not None
-                else f"job resolved {result.status} without a program"
-            )
-            return EvalOutcome(
-                source="", executed=not served, ok=False, failure=failure
-            )
-        return EvalOutcome(
-            source=result.source,
-            applications=result.applications,
-            executed=not served,
-        )
-
-
-def _options_dict(options: DriverOptions) -> dict[str, object]:
-    from repro.service.job import options_to_dict
-
-    return options_to_dict(options)
+        results = run_batch(self.client, jobs)
+        for result in results:
+            if result.cached or result.coalesced:
+                self.stats.cache_hits += 1
+            else:
+                self.stats.executed += 1
+            if not result.ok or result.source is None:
+                self.stats.failures += 1
+        return results
 
 
 def canonical_source(program: Program) -> str:

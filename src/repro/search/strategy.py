@@ -13,7 +13,7 @@ only decides *which* states to extend next.
 * **iterated** — iterated greedy: a first greedy walk identical to
   ``greedy``, then seeded destroy-and-rebuild rounds — cut the
   incumbent's sequence at a random point, replay the prefix (free
-  memo/cache hits), and greedily rebuild with a shuffled candidate
+  result-cache hits), and greedily rebuild with a shuffled candidate
   order.  With ``iterations=1`` it *is* greedy, bit for bit — the
   property suite asserts this.
 * **exhaustive** — breadth-first enumeration of every sequence to
@@ -98,7 +98,7 @@ class IteratedGreedy(SearchStrategy):
             start: Optional[SearchNode] = engine.root
             if incumbent:
                 # destroy: keep a random prefix of the incumbent
-                # (replayed for free through the memo/result cache)
+                # (replayed for free through the result cache)
                 cut = rng.randrange(len(incumbent) + 1)
                 start = engine.replay(incumbent[:cut])
             if start is None:
@@ -133,7 +133,7 @@ class ExhaustiveSearch(SearchStrategy):
     still occupies its slot in the ordering) and does not dedup
     convergent branches — the point of an exhaustive study is one
     trajectory per ordering.  Evaluation reuse still happens a layer
-    down, in the evaluator's memo or the service's result cache.
+    down, in the service's result cache.
     """
 
     name = "exhaustive"

@@ -2,7 +2,7 @@
 
 The in-memory LRU (:class:`~repro.service.cache.ResultCache`) dies with
 the process; this tier does not.  Every completed
-:class:`~repro.service.job.JobResult` is written to
+:class:`~repro.service.job.JobResult` of an optimize job is written to
 ``<root>/<key[:2]>/<key>.json`` — the sha256 cache key
 (:meth:`repro.service.job.Job.cache_key`) *is* the address, so a result
 computed by any serve process in a fleet is readable by every other one
@@ -254,9 +254,11 @@ class DiskCache:
         directory, fsynced, then renamed over the final path — a crash
         at any instant leaves either the old state or the new entry,
         never a torn one.  I/O failures degrade to a no-op (the cache
-        is an accelerator, not a dependency).
+        is an accelerator, not a dependency).  A result carrying a
+        Python ``payload`` (an experiment job's) has no JSON form, so it
+        stays in the memory tier only.
         """
-        if not result.ok:
+        if not result.ok or result.payload is not None:
             return
         path = self.path_for(key)
         payload = result.to_dict()

@@ -38,11 +38,8 @@ EXPIRED = "expired"
 KIND_OPTIMIZE = "optimize"
 KIND_EXPERIMENT = "experiment"
 
-#: ``DriverOptions`` fields that serialize into a job.  ``point_filter``
-#: is deliberately absent: callables cannot cross a process boundary.
-_OPTION_FIELDS = tuple(
-    f.name for f in fields(DriverOptions) if f.name != "point_filter"
-)
+#: ``DriverOptions`` fields, every one of which serializes into a job.
+_OPTION_FIELDS = tuple(f.name for f in fields(DriverOptions))
 
 
 class JobError(ValueError):
@@ -51,11 +48,6 @@ class JobError(ValueError):
 
 def options_to_dict(options: DriverOptions) -> dict[str, object]:
     """Serialize driver knobs to a plain dict (the job wire format)."""
-    if options.point_filter is not None:
-        raise JobError(
-            "DriverOptions.point_filter is a callable and cannot be "
-            "serialized into a service job"
-        )
     return {name: getattr(options, name) for name in _OPTION_FIELDS}
 
 

@@ -6,7 +6,7 @@ duck-types :class:`~repro.service.client.ServiceClient` —
 ``optimize_source`` one-shots, ``submit``/``wait`` tickets,
 ``queue_limit`` and ``stats`` — so every batch consumer (the batch CLI,
 the search engine's :class:`~repro.search.space.ServiceEvaluator`, the
-fuzz, chaos and experiment harnesses, all through
+fuzz and chaos harnesses, all through
 :func:`repro.service.client.run_batch`) can point at a remote server
 by swapping the client.
 

@@ -41,7 +41,13 @@ import json
 from typing import Optional
 
 from repro.genesis.driver import DriverOptions
-from repro.service.job import Job, JobError, JobResult, options_from_dict
+from repro.service.job import (
+    KIND_OPTIMIZE,
+    Job,
+    JobError,
+    JobResult,
+    options_from_dict,
+)
 
 #: A line longer than this is a protocol violation (64 MiB of program
 #: text is far beyond the million-quad roadmap sizes).
@@ -116,12 +122,20 @@ def job_from_request(request: dict, workloads: Optional[dict] = None) -> Job:
     (parsed eagerly, so a malformed program is rejected at admission).
     Optimization names resolve through the one catalog lookup,
     :func:`repro.opts.catalog.spec_source`; an unknown name is a
-    :class:`JobError`.
+    :class:`JobError`.  So is any job kind but ``optimize``: an
+    experiment job's result is a Python object the JSON wire cannot
+    carry, so experiments run only on a local service.
     """
     if "job" in request:
         payload = request["job"]
         if not isinstance(payload, dict):
             raise JobError("'job' must be an object")
+        kind = payload.get("kind", KIND_OPTIMIZE)
+        if kind != KIND_OPTIMIZE:
+            raise JobError(
+                f"the server runs only {KIND_OPTIMIZE!r} jobs, not "
+                f"{kind!r} jobs"
+            )
         return Job.from_dict(payload)
     if workloads is None:
         from repro.workloads.programs import SOURCES as workloads  # noqa: F811

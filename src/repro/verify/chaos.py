@@ -372,7 +372,7 @@ def _baselines_via_service(
     opt_names: tuple[str, ...],
     base_options: DriverOptions,
     quarantine_after: int,
-) -> Optional[dict[str, tuple[int, str]]]:
+) -> dict[str, tuple[int, str]]:
     """Fault-free baselines as service jobs: name -> (applications,
     optimized source).
 
@@ -380,23 +380,18 @@ def _baselines_via_service(
     (``Job.from_source(SOURCES[name], ...)``) and the campaign's own
     ``quarantine_after`` (in the job payload, hence in the cache key),
     so the service baseline runs under exactly the serial pipeline's
-    settings and is byte-identical to a local one.  Returns None
-    (serial fallback) when the driver options cannot cross a process
-    boundary.
+    settings and is byte-identical to a local one.
     """
     from repro.service.client import run_batch
-    from repro.service.job import Job, JobError
+    from repro.service.job import Job
 
-    try:
-        jobs = [
-            Job.from_source(
-                SOURCES[program_name], opt_names, replace(base_options),
-                payload={"quarantine_after": quarantine_after},
-            )
-            for program_name in names
-        ]
-    except JobError:
-        return None
+    jobs = [
+        Job.from_source(
+            SOURCES[program_name], opt_names, replace(base_options),
+            payload={"quarantine_after": quarantine_after},
+        )
+        for program_name in names
+    ]
     baselines: dict[str, tuple[int, str]] = {}
     for program_name, result in zip(names, run_batch(client, jobs)):
         if not result.ok:

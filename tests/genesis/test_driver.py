@@ -97,18 +97,6 @@ class TestRunOptimizer:
         )
         assert result.applied == 1
 
-    def test_point_filter(self, optimizers, program):
-        c_qid = program[2].qid
-        result = run_optimizer(
-            optimizers["CTP"], program,
-            DriverOptions(
-                apply_all=True,
-                point_filter=lambda b: b.get("Sj") == c_qid,
-            ),
-        )
-        assert result.applied == 1
-        assert "a + 2" in format_program(program)  # b untouched
-
     def test_counters_accumulate(self, optimizers, program):
         result = run_optimizer(
             optimizers["CTP"], program, DriverOptions(apply_all=True)

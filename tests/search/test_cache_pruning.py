@@ -9,12 +9,7 @@ result cache instead of a backend execution.
 
 import pytest
 
-from repro.search import (
-    PhaseOrderingEngine,
-    SearchConfig,
-    LocalEvaluator,
-    search_program,
-)
+from repro.search import PhaseOrderingEngine, SearchConfig, search_program
 from repro.search.space import canonical_source
 from repro.service import ServiceClient
 from repro.workloads.suite import workload
@@ -88,36 +83,22 @@ class TestRestartedSearch:
         assert second.backend_executions == 0
         assert second.cache_hits == second.evaluator.evaluations
 
-    def test_local_memo_mirrors_the_service_cache(self):
-        """The in-process memo gives the same restart behaviour when
-        both searches share one evaluator."""
-        source = workload("integrate").source
-        config = SearchConfig(
-            opt_names=PASSES, strategy="greedy", depth=2, budget=24
-        )
-        evaluator = LocalEvaluator(options=config.driver_options())
-        first = search_program(source, config, evaluator=evaluator)
-        executed_after_first = evaluator.stats.executed
-        second = search_program(source, config, evaluator=evaluator)
-        assert second.best_sequence == first.best_sequence
-        assert evaluator.stats.executed == executed_after_first
-        assert evaluator.stats.cache_hits > 0
-
     def test_memoless_evaluator_reexecutes(self):
-        """``memo=False`` is the honest sequential baseline: a restart
-        repeats every backend execution."""
+        """A client without a result cache is the honest sequential
+        baseline the search benchmark measures: a restart repeats every
+        backend execution."""
         source = workload("integrate").source
         config = SearchConfig(
             opt_names=PASSES, strategy="greedy", depth=2, budget=24
         )
-        evaluator = LocalEvaluator(
-            options=config.driver_options(), memo=False
-        )
-        search_program(source, config, evaluator=evaluator)
-        executed_after_first = evaluator.stats.executed
-        search_program(source, config, evaluator=evaluator)
-        assert evaluator.stats.executed == 2 * executed_after_first
-        assert evaluator.stats.cache_hits == 0
+        with ServiceClient(backend="inprocess", cache_capacity=0) as client:
+            first = search_program(source, config, client=client)
+            second = search_program(source, config, client=client)
+            completed = client.stats.completed
+        assert first.backend_executions == first.evaluator.evaluations > 0
+        assert second.backend_executions == first.backend_executions
+        assert first.cache_hits == second.cache_hits == 0
+        assert completed == 2 * first.backend_executions
 
 
 @pytest.mark.slow

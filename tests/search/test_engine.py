@@ -11,6 +11,7 @@ from repro.search import (
     make_strategy,
     search_program,
 )
+from repro.service import ServiceClient
 from repro.workloads.suite import workload
 
 PASSES = ("CTP", "CFO", "DCE")
@@ -58,6 +59,36 @@ class TestSearchProgram:
         assert result.best_sequence
         assert result.best_score < result.baseline_cycles["multiprocessor"]
         assert all(value >= 0 for value in result.benefit.values())
+
+    def test_no_client_runs_through_one_owned_inprocess_service(
+        self, monkeypatch
+    ):
+        """Without a client the search opens exactly one in-process
+        service, sized to hold a result per evaluation, and closes it
+        when the search ends."""
+        opened, closed = [], []
+        init, close = ServiceClient.__init__, ServiceClient.close
+
+        def counting_init(client, *args, **kwargs):
+            init(client, *args, **kwargs)
+            opened.append(client)
+
+        def counting_close(client):
+            close(client)
+            closed.append(client)
+
+        monkeypatch.setattr(ServiceClient, "__init__", counting_init)
+        monkeypatch.setattr(ServiceClient, "close", counting_close)
+        config = small_config()
+        result = search_program(workload("integrate").source, config)
+        assert len(opened) == 1
+        assert closed == opened
+        service = opened[0].service
+        assert service.backend.name == "inprocess"
+        assert service.cache.capacity == config.budget
+        stats = result.evaluator
+        assert stats.evaluations > 0
+        assert stats.executed + stats.cache_hits == stats.evaluations
 
     def test_budget_bounds_evaluations(self):
         result = search_program(

@@ -4,6 +4,7 @@ ordering experiment riding the same engine."""
 from itertools import permutations
 
 from repro.experiments.ordering import TRIO, run_ordering
+from repro.genesis.driver import DriverOptions
 from repro.search import SearchConfig, search_program
 from repro.workloads.suite import workload
 
@@ -14,7 +15,7 @@ def _base(**overrides):
         depth=len(TRIO),
         budget=500,
         allow_repeats=False,
-        apply_all=False,
+        options=DriverOptions(apply_all=False),
     )
     settings.update(overrides)
     return SearchConfig(**settings)

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from repro._version import __version__
+from repro.experiments.strategies import VariantComparison
 from repro.genesis.driver import DriverOptions
 from repro.service.cache import ResultCache
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, run_batch
 from repro.service.diskcache import (
     CACHE_CRASH_EXIT,
     CHAOS_ENV,
@@ -272,3 +273,24 @@ class TestLayeredUnderMemory:
         assert second.ok and second.cached
         assert second.source == first.source
         assert stats.disk is not None and stats.disk.hits == 1
+
+    def test_experiment_results_stay_off_disk(self, tmp_path):
+        """An experiment's result is a Python object the JSON entry
+        cannot hold: a second service lifetime reruns the component
+        instead of serving a payload-less ``completed`` result."""
+
+        def run():
+            job = Job.experiment("lur_variants")
+            job.payload["workloads"] = ["poly"]
+            with ServiceClient(
+                backend="inprocess", cache_dir=str(tmp_path)
+            ) as client:
+                [result] = run_batch(client, [job])
+            return result
+
+        first = run()
+        second = run()
+        assert first.ok and isinstance(first.payload, VariantComparison)
+        assert second.ok and not second.cached
+        assert isinstance(second.payload, VariantComparison)
+        assert not list(tmp_path.glob("*/*.json"))

@@ -31,12 +31,6 @@ def test_options_round_trip_all_fields():
     assert rebuilt == options
 
 
-def test_point_filter_cannot_serialize():
-    options = DriverOptions(point_filter=lambda point: True)
-    with pytest.raises(JobError):
-        options_to_dict(options)
-
-
 def test_unknown_option_field_rejected():
     with pytest.raises(JobError):
         options_from_dict({"no_such_knob": 1})

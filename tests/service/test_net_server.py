@@ -131,6 +131,22 @@ class TestDispatchUnit:
         assert "error" not in reply, reply
         assert reply["result"]["status"] == "completed"
 
+    def test_experiment_job_is_terminal_job_error(self):
+        """An experiment's result is a Python object the JSON wire
+        cannot carry, so the server refuses the job instead of running
+        it and replying ``completed`` with no payload."""
+        job = Job.experiment("lur_variants")
+        job.payload["workloads"] = ["poly"]
+        server = _server()
+        sink = _Sink()
+        server._dispatch(sink.conn, {
+            "cmd": "submit", "id": 15, "job": job.to_dict(),
+        })
+        [reply] = sink.sent
+        assert reply["error_type"] == "JobError"
+        assert reply["retryable"] is False
+        assert server.service.stats.submitted == 0
+
     def test_unknown_workload_is_terminal_job_error(self):
         server = _server()
         sink = _Sink()
