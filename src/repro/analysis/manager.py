@@ -293,9 +293,6 @@ class AnalysisManager:
         self._record_delta(old_version, self._graph_version, delta)
         return graph
 
-    #: alias matching the session's vocabulary
-    dependences = graph
-
     def _full_rebuild(self) -> DependenceGraph:
         self.stats.full_rebuilds += 1
         return DependenceAnalyzer(

@@ -12,9 +12,10 @@ dependences between applications.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.analysis.graph import DependenceGraph
 from repro.analysis.manager import AnalysisManager, manager_for
@@ -189,8 +190,23 @@ def find_application_points(
     """
     ctx = make_context(program, graph, counters, manager)
     ctx.enforce_restrictions = enforce_restrictions
+    points = _listed_points(optimizer, ctx)
+    try:
+        return list(itertools.islice(points, limit))
+    finally:
+        points.close()
+
+
+def _listed_points(
+    optimizer: GeneratedOptimizer, ctx: MatchContext
+) -> Iterator[dict[str, object]]:
+    """Yield the distinct application points in listing order.
+
+    While suspended at a point, ``ctx`` is still bound to it, so the
+    caller may act there.  Closing the generator closes the
+    ``match``/``pre`` generators it suspends.
+    """
     optimizer.set_up(ctx)
-    points: list[dict[str, object]] = []
     seen: set[tuple] = set()
     match_gen = optimizer.match(ctx)
     try:
@@ -203,14 +219,11 @@ def find_application_points(
                     if signature in seen:
                         continue
                     seen.add(signature)
-                    points.append(bindings)
-                    if limit is not None and len(points) >= limit:
-                        return points
+                    yield bindings
             finally:
                 pre_gen.close()
     finally:
         match_gen.close()
-    return points
 
 
 def _transactional_act(
@@ -354,16 +367,10 @@ def run_optimizer(
         chosen_signature: Optional[tuple] = None
         discovery_started = time.perf_counter()
         if engine is not None:
-            # the worklist may only serve sweeps whose graph is the
-            # manager's own, current one: disabled recomputation pins
-            # full sweeps (the engine itself rejects foreign graphs)
-            allow_worklist = (
-                options.recompute_dependences
-                and options.enforce_restrictions
-            )
-            sweep = engine.sweep(
-                optimizer, ctx, allow_worklist=allow_worklist
-            )
+            # the engine serves its cache only over the manager's
+            # current graph: stale (recompute off) and explicit graphs
+            # take full sweeps
+            sweep = engine.sweep(optimizer, ctx)
             fuel_used += sweep.attempts
             if (
                 options.max_match_attempts is not None
@@ -462,51 +469,45 @@ def apply_at_point(
     This is the interface's "select application points" option; with
     ``options.enforce_restrictions=False`` it also implements
     "override dependence restrictions" (the Depend section's ``no``
-    clauses are ignored — the user takes responsibility).  The
-    application runs inside the same transaction as the full driver,
-    under the same ``options`` (validation, verification, failure
-    policy): under ``on_failure="rollback"`` a failure restores the
-    pre-apply state and is recorded in ``result.failures``.  A stale
-    ``point_index`` (the program changed since the points were listed)
-    simply finds no point and returns an empty result.
+    clauses are ignored — the user takes responsibility).  Point N is,
+    by construction, the N-th point :func:`find_application_points`
+    lists: both walk the same listing, and the action fires in the
+    listing's own context where it stops.  The application runs inside
+    the same transaction as the full driver, under the same ``options``
+    (validation, verification, failure policy): under
+    ``on_failure="rollback"`` a failure restores the pre-apply state
+    and is recorded in ``result.failures``.  A stale ``point_index``
+    (the program changed since the points were listed) or a negative
+    one finds no point and returns an empty result.
     """
     options = options or DriverOptions()
     counters = CostCounters()
     result = DriverResult(optimizer=optimizer.name, counters=counters)
+    if point_index < 0:
+        return result  # names no point (and must not wrap around)
     start = time.perf_counter()
-
     ctx = make_context(program, graph, counters, manager)
     ctx.enforce_restrictions = options.enforce_restrictions
-    optimizer.set_up(ctx)
-    seen = 0
-    match_gen = optimizer.match(ctx)
+    points = _listed_points(optimizer, ctx)
     try:
-        for _match in match_gen:
-            pre_gen = optimizer.pre(ctx)
-            try:
-                for _pre in pre_gen:
-                    if seen == point_index:
-                        bindings = _point_bindings(optimizer, ctx)
-                        before = counters.snapshot()
-                        failure = _transactional_act(
-                            optimizer, program, ctx, bindings, options
-                        )
-                        if failure is not None:
-                            result.failures.append(failure)
-                        else:
-                            result.applications.append(
-                                ApplicationRecord(
-                                    opt_name=optimizer.name,
-                                    bindings=bindings,
-                                    cost=counters.minus(before),
-                                )
-                            )
-                        result.elapsed_seconds = time.perf_counter() - start
-                        return result
-                    seen += 1
-            finally:
-                pre_gen.close()
+        bindings = next(itertools.islice(points, point_index, None), None)
+        if bindings is not None:
+            # act where the listing stopped: ``ctx`` is bound to point N
+            before = counters.snapshot()
+            failure = _transactional_act(
+                optimizer, program, ctx, bindings, options
+            )
+            if failure is not None:
+                result.failures.append(failure)
+            else:
+                result.applications.append(
+                    ApplicationRecord(
+                        opt_name=optimizer.name,
+                        bindings=bindings,
+                        cost=counters.minus(before),
+                    )
+                )
     finally:
-        match_gen.close()
+        points.close()
     result.elapsed_seconds = time.perf_counter() - start
     return result

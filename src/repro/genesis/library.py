@@ -85,16 +85,13 @@ class MatchContext:
         self,
         program: Program,
         graph: DependenceGraph,
-        structure: Optional[StructureTable] = None,
         counters: Optional[CostCounters] = None,
         structure_provider: Optional[Callable[[], StructureTable]] = None,
     ):
         self.program = program
         self.graph = graph
-        self._structure = structure
-        self._structure_version = (
-            program.version if structure is not None else -1
-        )
+        self._structure: Optional[StructureTable] = None
+        self._structure_version = -1
         #: version-keyed table source shared across contexts (usually
         #: ``AnalysisManager.structure``) — consulted when no local
         #: table matches the current program version
@@ -106,9 +103,9 @@ class MatchContext:
         #: (paper Figure 4, step 3.b.iii.3) — 'no' clauses stop failing
         self.enforce_restrictions = True
         self._temp_counter = 0
-        #: candidate index attached by the matching engine
+        #: shape-bucket index attached by the matching engine
         #: (:class:`repro.genesis.matching.MatchIndex`); ``None`` keeps
-        #: every enumerator on its naive full scan
+        #: :func:`statements` on its naive full scan
         self.match_index: Optional[object] = None
         #: one-shot worklist restriction armed by the matching engine:
         #: the *first* seed enumeration after arming iterates only
@@ -179,7 +176,9 @@ class MatchContext:
         loop distribution passes through intermediate states whose
         region markers don't nest (a copied DO head awaiting its
         ENDDO); the table is only rebuilt — and validated — when
-        something actually consults it.
+        something actually consults it.  Every ``Program`` mutator
+        bumps the version, so an action's edits need no explicit
+        invalidation.
         """
         if (
             self._structure is not None
@@ -191,11 +190,6 @@ class MatchContext:
         self._structure = StructureTable(self.program)
         self._structure_version = self.program.version
         return self._structure
-
-    def refresh_structure(self) -> None:
-        """Invalidate the loop table after the program was transformed."""
-        self._structure = None
-        self._structure_version = -1
 
 
 def _as_qid(value: object) -> int:
@@ -251,12 +245,6 @@ def statements(
 
 def loops(ctx: MatchContext) -> Iterator[LoopBinding]:
     """All loops, head and end captured."""
-    index = ctx.match_index
-    if index is not None:
-        for head, end in index.loops_in_order():  # type: ignore[attr-defined]
-            ctx.counters.candidates += 1
-            yield LoopBinding(head=head, end=end)
-        return
     for loop in ctx.structure.loops_in_order():
         ctx.counters.candidates += 1
         yield LoopBinding(head=loop.head_qid, end=loop.end_qid)
@@ -267,32 +255,8 @@ def _pair_binding(ctx: MatchContext, head_qid: int) -> LoopBinding:
     return LoopBinding(head=loop.head_qid, end=loop.end_qid)
 
 
-def _index_pairs(
-    ctx: MatchContext, table: str
-) -> Optional[Iterator[tuple[LoopBinding, LoopBinding]]]:
-    """Serve a loop-pair enumeration from the candidate index, if any."""
-    index = ctx.match_index
-    if index is None:
-        return None
-    pairs = getattr(index, table)()
-
-    def emit() -> Iterator[tuple[LoopBinding, LoopBinding]]:
-        for (head_a, end_a), (head_b, end_b) in pairs:
-            ctx.counters.candidates += 1
-            yield (
-                LoopBinding(head=head_a, end=end_a),
-                LoopBinding(head=head_b, end=end_b),
-            )
-
-    return emit()
-
-
 def nested_loop_pairs(ctx: MatchContext) -> Iterator[tuple[LoopBinding, LoopBinding]]:
     """All (outer, inner) nested loop pairs."""
-    indexed = _index_pairs(ctx, "nested_pairs")
-    if indexed is not None:
-        yield from indexed
-        return
     for outer, inner in ctx.structure.nested_pairs():
         ctx.counters.candidates += 1
         yield _pair_binding(ctx, outer), _pair_binding(ctx, inner)
@@ -300,10 +264,6 @@ def nested_loop_pairs(ctx: MatchContext) -> Iterator[tuple[LoopBinding, LoopBind
 
 def tight_loop_pairs(ctx: MatchContext) -> Iterator[tuple[LoopBinding, LoopBinding]]:
     """All tightly nested (outer, inner) pairs."""
-    indexed = _index_pairs(ctx, "tight_pairs")
-    if indexed is not None:
-        yield from indexed
-        return
     for outer, inner in ctx.structure.tight_pairs():
         ctx.counters.candidates += 1
         yield _pair_binding(ctx, outer), _pair_binding(ctx, inner)
@@ -311,10 +271,6 @@ def tight_loop_pairs(ctx: MatchContext) -> Iterator[tuple[LoopBinding, LoopBindi
 
 def adjacent_loop_pairs(ctx: MatchContext) -> Iterator[tuple[LoopBinding, LoopBinding]]:
     """All adjacent (first, second) loop pairs."""
-    indexed = _index_pairs(ctx, "adjacent_pairs")
-    if indexed is not None:
-        yield from indexed
-        return
     for first, second in ctx.structure.adjacent_pairs():
         ctx.counters.candidates += 1
         yield _pair_binding(ctx, first), _pair_binding(ctx, second)
@@ -1131,14 +1087,12 @@ def act_delete(ctx: MatchContext, target: object) -> None:
                 ctx.program.remove(qid)
     else:
         raise GenesisRuntimeError(f"cannot delete {target!r}")
-    ctx.refresh_structure()
 
 
 def act_move(ctx: MatchContext, target: object, after: object) -> None:
     """``Move(a, b)``: remove ``a`` and place it following ``b``."""
     ctx.counters.action_ops += 1
     ctx.program.move_after(_as_qid(target), _anchor_qid(ctx, after))
-    ctx.refresh_structure()
 
 
 def act_copy(ctx: MatchContext, source: object, after: object) -> object:
@@ -1154,7 +1108,6 @@ def act_copy(ctx: MatchContext, source: object, after: object) -> object:
     if isinstance(source, int):
         duplicate = ctx.program.quad(source).copy()
         placed = ctx.program.insert_after(_anchor_qid(ctx, after), duplicate)
-        ctx.refresh_structure()
         return placed.qid
     if isinstance(source, (tuple, list)):
         anchor = _anchor_qid(ctx, after)
@@ -1165,7 +1118,6 @@ def act_copy(ctx: MatchContext, source: object, after: object) -> object:
             placed = ctx.program.insert_after(anchor, duplicate)
             anchor = placed.qid
             new_qids.append(placed.qid)
-        ctx.refresh_structure()
         return tuple(new_qids)
     raise GenesisRuntimeError(f"cannot copy {source!r}")
 
@@ -1219,7 +1171,6 @@ def act_add(ctx: MatchContext, after: object, quad: Quad) -> int:
     """``Add(a, description, b)``: insert a new statement after ``a``."""
     ctx.counters.action_ops += 1
     placed = ctx.program.insert_after(_anchor_qid(ctx, after), quad)
-    ctx.refresh_structure()
     return placed.qid
 
 

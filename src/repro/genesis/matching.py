@@ -1,55 +1,59 @@
-"""Incremental pattern matching: candidate indexes + dirty-region worklist.
+"""Incremental pattern matching: shape buckets + dirty-region worklist.
 
 The paper's driver (Figure 5) restarts candidate enumeration from the
-top of the program after every committed application; with PR 2's
-incremental dependence analysis in place, that re-scan became the
-dominant cost of multi-pass pipelines.  This module removes it with two
-cooperating pieces:
+top of the program after every committed application; with dependences
+maintained incrementally by the analysis manager, that re-scan became
+the dominant cost of multi-pass pipelines.  This module removes it with
+two cooperating pieces:
 
-* :class:`MatchIndex` — **candidate indexes** over the program,
-  maintained from the :class:`~repro.ir.program.Program` change log
-  under the :class:`~repro.analysis.manager.AnalysisManager` version
-  key: statements bucketed by shape (``assign``, ``assign:const``,
-  ``assign:var``, ``assign:array``, ``binop``, ...), the loop list, and
-  the nested/tight/adjacent loop-pair tables.  Generated matchers pass
-  a shape *hint* derived from the clause format
-  (:func:`repro.genesis.codegen` emits it), so a constant-propagation
-  seed scan enumerates only constant-RHS assignments instead of every
-  quad.
+* :class:`MatchIndex` — **shape buckets** over the program, maintained
+  from the :class:`~repro.ir.program.Program` change log: statements
+  bucketed by shape (``assign``, ``assign:const``, ``assign:var``,
+  ``assign:array``, ``binop``, ...).  Generated matchers pass a shape
+  *hint* derived from the clause format (:func:`repro.genesis.codegen`
+  emits it), so a constant-propagation seed scan enumerates only
+  constant-RHS assignments instead of every quad.  Loop enumerations
+  read the manager's version-cached
+  :class:`~repro.ir.loops.StructureTable`; the index keeps no loop
+  tables of its own.
 
 * :class:`MatchEngine` — a **dirty-region worklist** over application
   points.  After a committed application only the quads its
   transaction touched (from the change log), the statements whose
-  dependence neighborhood changed (from the manager's per-refresh
-  deltas), and their dependence neighbors up to the specification's
-  depend-clause depth can gain or lose application points.  The engine
-  keeps the previous sweep's point set per optimizer, drops the points
-  whose bound elements intersect that dirty region, re-enumerates
-  candidates only from it (by arming a one-shot seed restriction on
-  the :class:`~repro.genesis.library.MatchContext`), and serves the
-  merged set.  Rollbacks need no special casing: the undo mutations
-  are ordinary change-log entries, so the next sweep's dirty region
-  covers exactly the rolled-back quads and the index is restored to
-  the same state a fresh build would produce.
+  dependence edges changed (from the manager's per-refresh deltas),
+  and the seeds at the far ends of the specification's anchor chains
+  walked back from them can gain or lose application points.  The
+  engine keeps the previous sweep's point set per optimizer, drops the
+  points whose bound elements intersect that dirty region,
+  re-enumerates candidates only from it (by arming a one-shot seed
+  restriction on the :class:`~repro.genesis.library.MatchContext`), and
+  serves the merged set.  Rollbacks need no special casing: the undo
+  mutations are ordinary change-log entries, so the next sweep's dirty
+  region covers exactly the rolled-back quads and the index is
+  restored to the same state a fresh build would produce.
 
 Falling back to a full sweep — mirroring the splice-vs-rebuild policy
 of the analysis manager — happens whenever the incremental path cannot
 be proven exact:
 
 * the change log was trimmed (``changes_since`` returned ``None``);
-* a structural marker (``DO``/``ENDDO``/``IF``/...) was touched;
 * the specification is not *worklist-eligible* (see
   :func:`profile_spec`): its seed is not a single ``any``-quantified
   statement variable, it uses an ``all`` quantifier, or a depend
-  clause's search variable is not anchored to a dependence atom;
+  clause's search variable is not bound along one unambiguous
+  dependence chain back to the seed;
 * the specification is *position-sensitive* (``path``/``region``/
   ``uses``/``mem``/``pos()``/``.next``/``.prev``) and the interval
-  contains structural (add/remove/move) changes;
-* the analysis manager performed a full graph rebuild in the interval
-  (no bounded dependence delta exists), or the graph in use is not the
-  manager's current one (stale-graph mode, explicit graphs);
-* dependence restrictions are overridden (``enforce_restrictions``
-  off) — cached point sets only describe enforcing sweeps.
+  contains structural (add/remove/move) changes or touches a
+  structural marker (``DO``/``ENDDO``/``IF``/...);
+* the analysis manager performed a refresh with no exact dependence
+  delta in the interval.
+
+A sweep neither reads nor fills the point cache unless its graph is
+the manager's graph at the current program version (stale-graph mode
+and explicit graphs always take a full sweep), and unless dependence
+restrictions are enforced — cached point sets only describe enforcing
+sweeps over the current graph.
 
 Set ``REPRO_MATCH_CHECK=1`` (or construct the engine with
 ``full_check=True``) to shadow every worklist sweep with a naive full
@@ -63,7 +67,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.analysis.manager import AnalysisManager
 from repro.genesis.cost import CostCounters
@@ -88,7 +92,6 @@ from repro.gospel.ast import (
     Value,
 )
 from repro.gospel.sema import AnalyzedSpec
-from repro.ir.loops import StructureTable
 from repro.ir.program import Program, ProgramChange
 from repro.ir.quad import STRUCTURAL_OPS
 
@@ -96,7 +99,7 @@ from repro.ir.quad import STRUCTURAL_OPS
 ENV_MATCH_CHECK = "REPRO_MATCH_CHECK"
 
 #: Shape tokens whose quads delimit control structure; touching one
-#: invalidates the loop tables (and the worklist policy falls back).
+#: sends a position-sensitive specification to a full sweep.
 _STRUCTURAL_SHAPES = frozenset({"loop_head", "if_stmt", "marker"})
 
 
@@ -187,14 +190,14 @@ class MatchStats:
 # the candidate index
 # ----------------------------------------------------------------------
 class MatchIndex:
-    """Shape buckets and loop tables, maintained from the change log.
+    """Shape buckets, maintained from the change log.
 
     One index serves one program object.  :meth:`refresh` brings it up
     to the program's current version: per-statement shape buckets are
-    maintained entry-by-entry from the change log; the loop tables are
-    re-derived from the (version-cached) structure table only when a
-    structural change occurred, and retained across pure operand
-    modifications.  A trimmed log causes a full rebuild.
+    maintained entry-by-entry from the change log, and a trimmed log
+    causes a full rebuild.  Loop enumerations do not go through the
+    index: they read the manager's version-cached
+    :class:`~repro.ir.loops.StructureTable` (``MatchContext.structure``).
     """
 
     def __init__(self, program: Program):
@@ -205,25 +208,12 @@ class MatchIndex:
         self._shapes: dict[int, tuple[str, ...]] = {}
         #: shape token -> set of qids
         self._buckets: dict[str, set[int]] = {}
-        self._loops: list[tuple[int, int]] = []
-        self._nested: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        self._tight: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        self._adjacent: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        #: loop tables are re-derived lazily, on the first loop query
-        #: after a structural change — scalar optimizers never pay
-        self._loops_stale = True
-        self._structure: Optional[Callable[[], StructureTable]] = None
-        self.full_rebuilds = 0
-        self.incremental_updates = 0
 
     # -- maintenance ---------------------------------------------------
-    def refresh(
-        self, structure: Optional[Callable[[], StructureTable]] = None
-    ) -> None:
+    def refresh(self) -> None:
         """Bring the index up to the program's current version."""
         program = self.program
         version = program.version
-        self._structure = structure
         if version == self._version:
             return
         changes = (
@@ -232,7 +222,7 @@ class MatchIndex:
             else None
         )
         if changes is None:
-            self._rebuild(structure)
+            self._rebuild()
         else:
             self._apply_changes(changes)
         self._version = version
@@ -240,36 +230,19 @@ class MatchIndex:
     def _apply_changes(self, changes: Sequence[ProgramChange]) -> None:
         """Maintain the buckets from the log."""
         program = self.program
-        self.incremental_updates += 1
         for change in changes:
             kind, qid = change.kind, change.qid
-            if kind in ("add", "remove", "move"):
-                self._loops_stale = True
-            else:
-                # a modified marker (e.g. rewritten loop bounds) leaves
-                # bucket membership alone but may alter the loop tables
-                old = self._shapes.get(qid)
-                if (old is not None and old[0] in _STRUCTURAL_SHAPES) or (
-                    program.contains(qid)
-                    and statement_shapes(program.quad(qid))[0]
-                    in _STRUCTURAL_SHAPES
-                ):
-                    self._loops_stale = True
             if kind == "move":
                 continue  # bucket membership is position-independent
             self._unindex(qid)
             if kind != "remove" and program.contains(qid):
                 self._index_quad(qid)
 
-    def _rebuild(
-        self, structure: Optional[Callable[[], StructureTable]]
-    ) -> None:
-        self.full_rebuilds += 1
+    def _rebuild(self) -> None:
         self._shapes.clear()
         self._buckets.clear()
         for quad in self.program:
             self._index_quad(quad.qid)
-        self._loops_stale = True
 
     def _index_quad(self, qid: int) -> None:
         shapes = statement_shapes(self.program.quad(qid))
@@ -283,39 +256,6 @@ class MatchIndex:
             bucket = self._buckets.get(token)
             if bucket is not None:
                 bucket.discard(qid)
-
-    def _ensure_loop_tables(self) -> None:
-        if not self._loops_stale:
-            return
-        self._rebuild_loop_tables(self._structure)
-        self._loops_stale = False
-
-    def _rebuild_loop_tables(
-        self, structure: Optional[Callable[[], StructureTable]]
-    ) -> None:
-        table = (
-            structure() if structure is not None
-            else StructureTable(self.program)
-        )
-        by_head = {
-            loop.head_qid: (loop.head_qid, loop.end_qid)
-            for loop in table.loops_in_order()
-        }
-        self._loops = [
-            (loop.head_qid, loop.end_qid) for loop in table.loops_in_order()
-        ]
-        self._nested = [
-            (by_head[outer], by_head[inner])
-            for outer, inner in table.nested_pairs()
-        ]
-        self._tight = [
-            (by_head[outer], by_head[inner])
-            for outer, inner in table.tight_pairs()
-        ]
-        self._adjacent = [
-            (by_head[first], by_head[second])
-            for first, second in table.adjacent_pairs()
-        ]
 
     # -- queries (consumed by the library's enumerators) ---------------
     def statements_of(self, shapes: Sequence[str]) -> list[int]:
@@ -339,22 +279,6 @@ class MatchIndex:
             return False
         return any(token in shapes for token in tokens)
 
-    def loops_in_order(self) -> list[tuple[int, int]]:
-        self._ensure_loop_tables()
-        return list(self._loops)
-
-    def nested_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        self._ensure_loop_tables()
-        return list(self._nested)
-
-    def tight_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        self._ensure_loop_tables()
-        return list(self._tight)
-
-    def adjacent_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        self._ensure_loop_tables()
-        return list(self._adjacent)
-
     def fingerprint(self) -> str:
         """A deterministic, version-independent hash of the whole index
         state (the chaos tests compare it across rollbacks).
@@ -362,18 +286,15 @@ class MatchIndex:
         The program-content component is the canonical
         :meth:`repro.ir.program.Program.fingerprint` — the same
         definition the ordering experiment and the service result
-        cache use — extended with the index's own derived state
-        (shape buckets and loop tables), so a stale index can never
-        hash equal to a fresh one.
+        cache use — extended with the shape buckets, so a stale index
+        can never hash equal to a fresh one.
         """
-        self._ensure_loop_tables()
         shapes = sorted(self._shapes.items())
         buckets = sorted(
             (token, sorted(qids)) for token, qids in self._buckets.items()
             if qids
         )
-        payload = repr((shapes, buckets, self._loops, self._nested,
-                        self._tight, self._adjacent))
+        payload = repr((shapes, buckets))
         return (
             self.program.fingerprint()
             + ":"
@@ -395,15 +316,12 @@ class SpecProfile:
     #: conditions inspect program positions (``path``/``pos``/``.next``
     #: ...) — structural changes then force a full sweep
     position_sensitive: bool
-    #: dependence-closure expansion depth for the dirty region
-    dep_depth: int
-    #: the dependence kinds the conditions traverse — the dirty-region
-    #: ball only grows along these; ``None`` disables the filter
+    #: the dependence kinds the conditions traverse — edge deltas of
+    #: any other kind are ignored; ``None`` disables the filter
     dep_kinds: Optional[frozenset[str]] = None
     #: one entry per search variable: the exact ``(kind, var_is_dst)``
-    #: dependence steps from that variable's binding back to the seed.
-    #: When present, the dirty ball walks these directed chains instead
-    #: of the undirected radius-``dep_depth`` expansion.
+    #: dependence steps from that variable's binding back to the seed,
+    #: which the dirty region walks.  Set exactly when eligible.
     var_paths: Optional[tuple[tuple[tuple[str, bool], ...], ...]] = None
 
 
@@ -413,10 +331,11 @@ def profile_spec(analyzed: AnalyzedSpec) -> SpecProfile:
     Eligibility demands that every application point be *reachable*
     from its seed statement through dependence atoms: a single
     ``any``-quantified statement-typed seed, no ``all`` quantifier, and
-    every depend clause introducing at most one search variable that is
-    anchored to a dependence atom of its clause.  Everything else —
-    loop-seeded specifications in particular — always takes the full
-    sweep (their actions touch structural markers anyway).
+    every depend clause introducing at most one search variable, bound
+    along one unambiguous dependence chain back to the seed (see
+    :func:`_anchor_paths`).  Everything else — loop-seeded
+    specifications in particular — always takes the full sweep (their
+    actions touch structural markers anyway).
     """
     spec = analyzed.spec
     seed: Optional[str] = None
@@ -430,13 +349,8 @@ def profile_spec(analyzed: AnalyzedSpec) -> SpecProfile:
     for clause in tuple(spec.patterns) + tuple(spec.depends):
         if clause.quant is Quant.ALL:
             eligible = False
-    for clause, plan in zip(spec.depends, analyzed.depend_plans):
-        if not plan.search_vars:
-            continue
+    for plan in analyzed.depend_plans:
         if len(plan.search_vars) > 1:
-            eligible = False
-            continue
-        if not _dep_anchored(clause.condition, plan.search_vars[0]):
             eligible = False
     sensitive = False
     for pattern in spec.patterns:
@@ -454,17 +368,17 @@ def profile_spec(analyzed: AnalyzedSpec) -> SpecProfile:
     for depend in spec.depends:
         if depend.condition is not None:
             kinds |= _cond_dep_kinds(depend.condition)
-    # an empty set is meaningful: no dependence atoms at all, so the
-    # dirty ball never needs to expand past the changed quads
+    # an empty set is meaningful: no dependence atoms at all, so no
+    # edge delta can affect a point
     dep_kinds: Optional[frozenset[str]] = None
     if kinds <= {"flow", "anti", "out", "ctrl"}:
         dep_kinds = frozenset(kinds)
     var_paths = _anchor_paths(analyzed, seed) if eligible else None
+    eligible = var_paths is not None
     return SpecProfile(
         seed=seed if eligible else None,
         eligible=eligible,
         position_sensitive=sensitive,
-        dep_depth=max(1, len(spec.depends)),
         dep_kinds=dep_kinds,
         var_paths=var_paths,
     )
@@ -481,7 +395,7 @@ def _anchor_paths(
     seed's search.  When a variable's anchor cannot be pinned down (no
     dependence atom ties it to a known variable, an exotic edge kind,
     several candidate generator atoms of conflicting shape), ``None``
-    tells the dirty-region policy to fall back to the undirected ball.
+    makes the specification ineligible: it always takes a full sweep.
     """
     if seed is None:
         return None
@@ -522,20 +436,6 @@ def _anchor_paths(
             return None
         known[var] = next(iter(paths))
     return tuple(path for name, path in known.items() if name != seed)
-
-
-def _dep_anchored(cond: Optional[Cond], name: str) -> bool:
-    """Does some top-level conjunct tie ``name`` to a dependence atom?"""
-    if cond is None:
-        return False
-    for term in _conjuncts(cond):
-        if isinstance(term, DepCond):
-            for value in (term.src, term.dst):
-                if isinstance(value, Ref) and value.base == name and (
-                    not value.attrs
-                ):
-                    return True
-    return False
 
 
 def _conjuncts(cond: Cond) -> list[Cond]:
@@ -661,27 +561,31 @@ class MatchEngine:
         self._profiles: dict[str, SpecProfile] = {}
 
     # -- public API ----------------------------------------------------
-    def sweep(
-        self,
-        optimizer,
-        ctx: MatchContext,
-        allow_worklist: bool = True,
-    ) -> SweepResult:
+    def sweep(self, optimizer, ctx: MatchContext) -> SweepResult:
         """Enumerate every application point of ``optimizer``.
 
         Serves from the per-optimizer cache when the program is
         unchanged, from the dirty-region worklist when the interval
         since the cached sweep is provably local, and from a full
-        (index-accelerated) sweep otherwise.  Points are returned in
-        canonical order: by seed position, then the positions of the
-        other bound elements.
+        (index-accelerated) sweep otherwise.  The cache is read and
+        written only when ``ctx.graph`` is the manager's graph at the
+        current program version: points found over a stale or
+        explicit graph describe that graph, not the program.  Points
+        are returned in canonical order: by seed position, then the
+        positions of the other bound elements.
         """
-        program = self.manager.program
+        manager = self.manager
+        program = manager.program
         started = time.perf_counter()
         candidates_before = ctx.counters.candidates
-        self.index.refresh(self.manager.structure)
+        self.index.refresh()
         ctx.match_index = self.index
         version = program.version
+        cacheable = (
+            ctx.enforce_restrictions
+            and ctx.graph is manager._graph
+            and manager._graph_version == version
+        )
         profile = self._profile(optimizer)
         fingerprint = spec_fingerprint(optimizer)
         cache = self._caches.get(optimizer.name)
@@ -691,7 +595,7 @@ class MatchEngine:
         attempts = 0
         mode = "full"
         shadow = False
-        if cache is not None and ctx.enforce_restrictions and allow_worklist:
+        if cache is not None and cacheable:
             if cache.version == version:
                 points = list(cache.points)
                 mode = "cached"
@@ -714,7 +618,7 @@ class MatchEngine:
         result_points = [(sig, dict(bindings)) for sig, bindings, _ in points]
         if shadow and self.full_check:
             self._shadow_check(optimizer, ctx, result_points)
-        if ctx.enforce_restrictions:
+        if cacheable:
             self._caches[optimizer.name] = _SweepCache(
                 version=version, points=points, fingerprint=fingerprint
             )
@@ -750,15 +654,14 @@ class MatchEngine:
         ``drop`` is the exact changed set — statements whose fields or
         incident dependence edges differ since the cached sweep; a
         cached point is stale iff it binds one of them.  ``seeds`` is
-        the dependence ball around the change (its radius the profile's
-        depth) — every statement whose *search tree* can see the change
-        and must therefore be re-enumerated as a candidate seed.
+        every statement whose *search tree* can see the change and
+        must therefore be re-enumerated as a candidate seed: the ends
+        of the profile's anchor chains walked back from the change.
+        ``ctx.graph`` must be the manager's current graph.
         """
         if not profile.eligible:
             return None
         program = self.manager.program
-        if ctx.graph is not self.manager._graph:
-            return None  # stale or foreign graph: deltas do not apply
         changes = program.changes_since(cache.version)
         if changes is None:
             return None
@@ -789,8 +692,7 @@ class MatchEngine:
             # an edge of a kind no condition ever traverses can affect
             # neither a cached point nor a candidate seed
             deltas = frozenset(edge for edge in deltas if edge[0] in kinds)
-        endpoints = {qid for edge in deltas for qid in edge[1:]}
-        drop = touched | endpoints
+        drop = touched | {qid for edge in deltas for qid in edge[1:]}
         graph = ctx.graph
 
         def walk(start: set[int], steps) -> set[int]:
@@ -811,51 +713,26 @@ class MatchEngine:
                     break
             return cur
 
+        # a changed quad flips a seed's search outcome only if it can be
+        # *bound* during that search — i.e. the seed lies at the end of
+        # some variable's exact anchor chain walked backward from it.  A
+        # changed edge is traversed right at the generator step of a
+        # variable of its kind, with the seed at the end of the
+        # *anchor's* (suffix) chain from the edge's anchor-side
+        # endpoint.  Interior stops of a chain are covered by the
+        # anchoring variable's own, shorter chain, so only the far ends
+        # are candidate seeds.
         seeds = set(drop)
-        if profile.var_paths is not None:
-            # a changed quad flips a seed's search outcome only if it
-            # can be *bound* during that search — i.e. the seed lies at
-            # the end of some variable's exact anchor chain walked
-            # backward from it.  A changed edge is traversed right at
-            # the generator step of a variable of its kind, with the
-            # seed at the end of the *anchor's* (suffix) chain from the
-            # edge's anchor-side endpoint.  Interior stops of a chain
-            # are covered by the anchoring variable's own, shorter
-            # chain, so only the far ends are candidate seeds.
-            for steps in profile.var_paths:
-                seeds |= walk(set(touched), steps)
-                kind0, var_is_dst0 = steps[0]
-                anchor_side = {
-                    edge[1] if var_is_dst0 else edge[2]
-                    for edge in deltas
-                    if edge[0] == kind0
-                }
-                if anchor_side:
-                    seeds |= walk(anchor_side, steps[1:])
-            return drop, seeds
-        # fallback — no usable anchor chains: a changed field at
-        # distance K flips a seed's search outcome; a changed edge is
-        # traversed by seeds within K-1 hops of its endpoints — so
-        # touched quads grow K hops, delta endpoints K-1, along the
-        # edge kinds the spec's conditions actually traverse.
-        visited = set(touched)
-        frontier = set(touched)
-        for hop in range(profile.dep_depth):
-            grown = set()
-            for qid in frontier:
-                for edge in graph.deps_from(qid):
-                    if kinds is None or edge.kind in kinds:
-                        grown.add(edge.dst)
-                for edge in graph.deps_to(qid):
-                    if kinds is None or edge.kind in kinds:
-                        grown.add(edge.src)
-            if hop == 0:
-                grown |= endpoints
-            frontier = grown - visited
-            if not frontier:
-                break
-            visited |= frontier
-            seeds |= frontier
+        for steps in profile.var_paths or ():
+            seeds |= walk(set(touched), steps)
+            kind0, var_is_dst0 = steps[0]
+            anchor_side = {
+                edge[1] if var_is_dst0 else edge[2]
+                for edge in deltas
+                if edge[0] == kind0
+            }
+            if anchor_side:
+                seeds |= walk(anchor_side, steps[1:])
         return drop, seeds
 
     def _worklist_sweep(

@@ -123,17 +123,6 @@ def usable_primary_groups(
     return groups
 
 
-def usable_primary_deps(
-    clause: DependClause, plan: ClausePlan
-) -> list[DepCond]:
-    """Single dependence atoms usable as a deps-first driver."""
-    return [
-        group[0]
-        for group in usable_primary_groups(clause, plan)
-        if len(group) == 1
-    ]
-
-
 def _has_selective_direction(dep: DepCond) -> bool:
     """Direction patterns containing '<' or '>' match few edges."""
     if dep.direction is None:

@@ -34,16 +34,9 @@ harness that exercises all of this is :mod:`repro.verify.chaos`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.ir.program import Program
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.genesis.generator import GeneratedOptimizer
-
-
-class BudgetExceeded(RuntimeError):
-    """A driver budget (deadline, fuel, rollback cap) was exhausted."""
 
 
 @dataclass

@@ -125,10 +125,54 @@ class TestApplyAtPoint:
         assert "a + 2" in text  # first point untouched
         assert "1 + 3" in text  # second point applied
 
+    @pytest.mark.parametrize("propagated", [False, True])
+    @pytest.mark.parametrize(
+        "name", ["newton", "jacobian", "tridiag", "ordering"]
+    )
+    def test_nth_point_is_nth_listed_point(
+        self, optimizers, suite_by_name, name, propagated
+    ):
+        """Point N of ``apply_at_point`` is point N of
+        ``find_application_points``, for every standard spec; the
+        CTP-propagated programs expose the CFO/DCE/LUR points."""
+        program = suite_by_name[name].load()
+        if propagated:
+            run_optimizer(
+                optimizers["CTP"], program, DriverOptions(apply_all=True)
+            )
+        for opt_name, optimizer in optimizers.items():
+            points = find_application_points(optimizer, program)
+            for index, point in enumerate(points):
+                result = apply_at_point(optimizer, program.clone(), index)
+                assert result.applied == 1, (opt_name, index)
+                assert result.applications[0].bindings == point, (
+                    opt_name, index
+                )
+
     def test_out_of_range_is_noop(self, optimizers, program):
         before = format_program(program)
         result = apply_at_point(optimizers["CTP"], program, 99)
         assert result.applied == 0
+        assert format_program(program) == before
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    @pytest.mark.parametrize("index", [-1, -2])
+    @pytest.mark.parametrize(
+        "source", [SOURCE, TWO_DEFS], ids=["SOURCE", "TWO_DEFS"]
+    )
+    def test_negative_index_is_noop(
+        self, optimizers, source, index, enforce
+    ):
+        """A negative index names no point, with or without points
+        (TWO_DEFS has none under enforced restrictions) and under
+        override; it never wraps around to the end of the listing."""
+        program = parse_program(source)
+        before = format_program(program)
+        result = apply_at_point(
+            optimizers["CTP"], program, index,
+            options=DriverOptions(enforce_restrictions=enforce),
+        )
+        assert not result.applications and not result.failures
         assert format_program(program) == before
 
     def test_restrictions_come_from_options(self, optimizers):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis.dependence import compute_dependences
+from repro.analysis.manager import AnalysisManager
 from repro.genesis import library as lib
+from repro.genesis.driver import make_context
 from repro.genesis.library import (
     GenesisRuntimeError,
     LoopBinding,
@@ -11,6 +13,7 @@ from repro.genesis.library import (
     PosBinding,
 )
 from repro.ir.builder import IRBuilder
+from repro.ir.loops import StructureTable
 from repro.ir.quad import Opcode
 from repro.ir.types import Const, Var
 
@@ -27,6 +30,29 @@ def loop_program():
         body = b.binary(b.arr("a", "i"), b.arr("a", "i"), "+", 1)
     b.write(b.arr("a", 2))
     return b, head, body
+
+
+def nest_program():
+    """Two tightly nested loops, then an adjacent third loop."""
+    b = IRBuilder()
+    b.assign("n", 4)
+    with b.loop("i", 1, "n"):
+        with b.loop("j", 1, "n"):
+            b.binary(b.arr("a", "i", "j"), b.arr("a", "i", "j"), "+", 1)
+    with b.loop("k", 1, "n"):
+        b.assign("x", "k")
+    b.write("x")
+    return b
+
+
+def structure_view(table):
+    """Loop heads and ends, then the nested/tight/adjacent pair tables."""
+    return (
+        [(loop.head_qid, loop.end_qid) for loop in table.loops_in_order()],
+        table.nested_pairs(),
+        table.tight_pairs(),
+        table.adjacent_pairs(),
+    )
 
 
 class TestContext:
@@ -464,6 +490,49 @@ class TestActions:
         ctx = context_for(b)
         lib.act_modify_attr(ctx, stmt.qid, "opr_3", "none")
         assert stmt.b is None
+
+    #: one application of each primitive action to ``nest_program``:
+    #: (action, does it change the loop structure?)
+    PRIMITIVES = {
+        "delete": (lambda ctx, loops: lib.act_delete(ctx, loops[2]), True),
+        "move": (
+            lambda ctx, loops: lib.act_move(ctx, 0, loops[0].end), True
+        ),
+        "copy": (
+            lambda ctx, loops: lib.act_copy(ctx, loops[2], loops[2]), True
+        ),
+        "add": (
+            lambda ctx, loops: lib.act_add(
+                ctx, loops[1],
+                lib.build_stmt(ctx, Var("t"), "assign", Const(0)),
+            ),
+            True,
+        ),
+        "modify": (
+            lambda ctx, loops: lib.act_modify_attr(
+                ctx, loops[2].head, "final", Const(9)
+            ),
+            False,
+        ),
+    }
+
+    @pytest.mark.parametrize("provided", [False, True])
+    @pytest.mark.parametrize("action", sorted(PRIMITIVES))
+    def test_structure_follows_every_action(self, action, provided):
+        """``ctx.structure`` consulted before an action is never served
+        stale after it, with or without the manager's table."""
+        program = nest_program().build()
+        if provided:
+            ctx = make_context(program, manager=AnalysisManager(program))
+        else:
+            ctx = MatchContext(program, compute_dependences(program))
+        loops = list(lib.loops(ctx))
+        before = structure_view(ctx.structure)
+        act, restructures = self.PRIMITIVES[action]
+        act(ctx, loops)
+        after = structure_view(ctx.structure)
+        assert after == structure_view(StructureTable(program))
+        assert (after != before) == restructures
 
     def test_actions_count_ops(self):
         b = IRBuilder()

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.manager import AnalysisManager
+from repro.frontend.lower import parse_program
 from repro.genesis.driver import DriverOptions, make_context, run_optimizer
 from repro.genesis.generator import generate_optimizer
 from repro.genesis.matching import (
@@ -28,6 +29,7 @@ from repro.genesis.matching import (
     spec_fingerprint,
 )
 from repro.genesis.transaction import ProgramTransaction
+from repro.ir.interp import run_program
 from repro.ir.quad import Opcode, Quad
 from repro.ir.types import Const, Var
 from repro.opts.catalog import standard_optimizers
@@ -169,9 +171,7 @@ def _assert_catalog_matches_full_sweeps(engine, catalog, program, manager):
     for optimizer in catalog:
         got = engine.sweep(optimizer, make_context(program, manager=manager))
         want = reference.sweep(
-            optimizer,
-            make_context(program, manager=manager),
-            allow_worklist=False,
+            optimizer, make_context(program, manager=manager)
         )
         assert got.points == want.points, optimizer.name
 
@@ -217,7 +217,7 @@ def test_catalog_sweeps_survive_rollback(catalog, seed, script):
     # candidate index is byte-equal to a fresh rebuild
     _assert_catalog_matches_full_sweeps(engine, catalog, program, manager)
     fresh = MatchIndex(program)
-    fresh.refresh(manager.structure)
+    fresh.refresh()
     assert engine.index.fingerprint() == fresh.fingerprint()
     assert engine.stats.shadow_checks == engine.stats.worklist_sweeps
 
@@ -242,12 +242,12 @@ def test_index_survives_rollback_byte_equal(optimizers, seed):
     )
     program.remove(victim)
     # mid-transaction state is visible to the index like any other
-    engine.index.refresh(manager.structure)
+    engine.index.refresh()
     txn.rollback()
 
-    engine.index.refresh(manager.structure)
+    engine.index.refresh()
     fresh = MatchIndex(program)
-    fresh.refresh(manager.structure)
+    fresh.refresh()
     assert engine.index.fingerprint() == fresh.fingerprint()
     # and the engine still sweeps correctly after the rollback
     worklist = program.clone()
@@ -259,7 +259,14 @@ def test_index_survives_rollback_byte_equal(optimizers, seed):
 # ----------------------------------------------------------------------
 # unit: eligibility profiling
 # ----------------------------------------------------------------------
-def test_profile_eligibility_table(optimizers):
+def test_profile_eligibility_table(optimizers, catalog):
+    # docs/matching.md: 15 of the 26 shipped specs are worklist-eligible,
+    # and every one of them has anchor chains for its dirty region
+    shipped = [profile_spec(optimizer.analyzed) for optimizer in catalog]
+    assert len(shipped) == 26
+    assert sum(profile.eligible for profile in shipped) == 15
+    for profile in shipped:
+        assert profile.eligible == (profile.var_paths is not None)
     profiles = {
         name: profile_spec(optimizers[name].analyzed)
         for name in ("CTP", "CPP", "DCE", "CFO", "FUS", "LUR")
@@ -338,6 +345,49 @@ def test_point_signature_handles_unhashable_values():
     assert sig_a == sig_b
     other = point_signature({"Si": 4, "set": [1, 2, 3]})
     assert other != sig_a  # identity-keyed, not silently dropped
+
+
+# ----------------------------------------------------------------------
+# unit: a sweep over a stale graph leaves the point cache alone
+# ----------------------------------------------------------------------
+STALE_SOURCE = """
+program t
+  integer x, y
+  x = 1
+  y = x
+  write y
+end
+"""
+
+
+def test_stale_graph_sweep_does_not_poison_the_cache(optimizers):
+    program = parse_program(STALE_SOURCE)
+    manager = AnalysisManager(program)
+    stale = manager.graph()
+    first = next(iter(program)).qid
+    program.insert_after(
+        first, Quad(Opcode.ASSIGN, result=Var("x"), a=Const(7))
+    )
+    # the stale graph still says ``x = 1`` reaches ``y = x``; the
+    # sweep over it finds that point, then the run stops on fuel
+    stopped = run_optimizer(
+        optimizers["CTP"],
+        program,
+        DriverOptions(
+            apply_all=True,
+            recompute_dependences=False,
+            max_match_attempts=0,
+        ),
+        graph=stale,
+        manager=manager,
+    )
+    assert stopped.stopped == "fuel" and stopped.applied == 0
+
+    reference = program.clone()
+    run_optimizer(optimizers["CTP"], program, manager=manager)
+    run_optimizer(optimizers["CTP"], reference)
+    assert run_program(program).output == [7]
+    assert _text(program) == _text(reference)
 
 
 # ----------------------------------------------------------------------

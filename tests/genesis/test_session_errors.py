@@ -65,6 +65,18 @@ class TestErrorEvents:
         # the program is untouched and the session continues
         assert session.apply("CTP", all_points=True).applications
 
+    @pytest.mark.parametrize(
+        "command", ["apply CTP -1", "apply CTP -2", "override CTP -1"]
+    )
+    def test_negative_point_is_noted_not_fatal(self, command):
+        session = _session()
+        before = session.execute_command("show")
+        session.execute_command(command)
+        event = session.history[-1]
+        assert event.error is None
+        assert event.note and "no application point" in event.note
+        assert session.execute_command("show") == before
+
     def test_errors_show_in_history_listing(self):
         session = _session()
         with pytest.raises(SessionError):
