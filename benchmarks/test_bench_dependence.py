@@ -8,6 +8,12 @@ Timings for every size are recorded in ``BENCH_dependence.json`` at
 the repository root; the largest size must show at least a
 :data:`TARGET_SPEEDUP` wall-clock improvement.
 
+``test_array_partition_speedup`` times one full rebuild of ``jacobian``
+after the standard catalog (every subscript a constant) with the
+partitioned array pairs and with the all-pairs reference, and records
+it under the file's ``array_partition`` key; run the whole file to
+regenerate the record.
+
 ``test_smoke_incremental_matches_full`` is the cheap CI entry point
 (select with ``-k smoke``): one small size, asserting the two arms
 produce the identical optimized program rather than any timing ratio.
@@ -15,16 +21,20 @@ produce the identical optimized program rather than any timing ratio.
 
 from __future__ import annotations
 
+import json
 import time
 from pathlib import Path
 
 import pytest
 
-from bench_schema import write_bench
+from bench_schema import host_info, write_bench
+from repro.analysis.dependence import AllPairsAnalyzer, DependenceAnalyzer
 from repro.analysis.manager import AnalysisManager, AnalysisStats
 from repro.genesis.driver import DriverOptions, run_optimizer
+from repro.genesis.pipeline import optimize
 from repro.ir.program import Program
 from repro.opts.catalog import standard_optimizers
+from repro.workloads.suite import workload
 from repro.workloads.synthetic import random_program
 
 #: The 10-pass pipeline: two cleanup rounds plus a final sweep.
@@ -41,6 +51,10 @@ SEED = 7
 #: subscript tests — see docs/ir.md) cut the full-rebuild arm itself
 #: by ~1.7x, compressing the incremental ratio it is measured against.
 TARGET_SPEEDUP = 1.8
+
+#: Required speedup of the partitioned array pairs over the all-pairs
+#: reference on one full rebuild of unrolled ``jacobian``.
+TARGET_PARTITION_SPEEDUP = 10.0
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_dependence.json"
 
@@ -111,6 +125,54 @@ def test_incremental_speedup(pipeline_optimizers):
     assert speedup_at_largest >= TARGET_SPEEDUP, (
         f"incremental maintenance gave only {speedup_at_largest:.2f}x at "
         f"size {SIZES[-1]} (need {TARGET_SPEEDUP}x); see {RESULTS_PATH}"
+    )
+
+
+def _pair_tests(analyzer: DependenceAnalyzer) -> int:
+    """How many access pairs the analyzer's enumeration tests."""
+    return sum(
+        1
+        for accesses in analyzer._accesses.values()
+        for _pair in analyzer._array_pairs(accesses)
+    )
+
+
+def test_array_partition_speedup(optimizers):
+    """One full rebuild of ``jacobian`` after the standard catalog,
+    partitioned against all pairs, recorded as ``array_partition``."""
+    program = optimize(
+        workload("jacobian").load(), list(optimizers.values()),
+        DriverOptions(apply_all=True),
+    ).program
+    timed = {}
+    graphs = {}
+    for arm, analyzer in (
+        ("partitioned", DependenceAnalyzer), ("all_pairs", AllPairsAnalyzer)
+    ):
+        start = time.perf_counter()
+        graphs[arm] = analyzer(program).analyze()
+        timed[arm] = time.perf_counter() - start
+    assert graphs["partitioned"].edges == graphs["all_pairs"].edges
+    assert graphs["partitioned"].notes == graphs["all_pairs"].notes
+    speedup = timed["all_pairs"] / timed["partitioned"]
+    record = {
+        "program": "jacobian after the standard catalog",
+        "quads": len(program),
+        "edges": len(graphs["partitioned"].edges),
+        "partitioned_pair_tests": _pair_tests(DependenceAnalyzer(program)),
+        "all_pairs_pair_tests": _pair_tests(AllPairsAnalyzer(program)),
+        "partitioned_s": round(timed["partitioned"], 4),
+        "all_pairs_s": round(timed["all_pairs"], 4),
+        "speedup": round(speedup, 1),
+        "target_speedup": TARGET_PARTITION_SPEEDUP,
+        "host": host_info(),
+    }
+    payload = json.loads(RESULTS_PATH.read_text())
+    payload["array_partition"] = record
+    write_bench(RESULTS_PATH, payload)
+    assert speedup >= TARGET_PARTITION_SPEEDUP, (
+        f"partitioned array pairs gave only {speedup:.1f}x on one full "
+        f"rebuild (need {TARGET_PARTITION_SPEEDUP}x); see {RESULTS_PATH}"
     )
 
 

@@ -4,9 +4,12 @@ Scalar dependences come from reaching-definition-style dataflow over
 the statement CFG; the acyclic (back-edge-free) solution distinguishes
 loop-independent dependences (direction ``=`` at every common level)
 from loop-carried ones (``<`` at the carrying loop).  Array dependences
-come from the subscript tests of :mod:`repro.analysis.subscript`
-applied to every access pair, expanded into concrete direction
-vectors.  Control dependences come from the structured region table.
+come from the subscript tests of :mod:`repro.analysis.subscript`,
+expanded into concrete direction vectors.  They are applied to every
+access pair with a write that no constant subscript dimension
+separates; :class:`AllPairsAnalyzer` tests every pair and is the
+reference the manager's shadow check compares against.  Control
+dependences come from the structured region table.
 
 This module implements the "data dependencies are computed" box of the
 paper's Figure 3 — the input every generated optimizer consumes.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.analysis.control_dep import compute_control_deps
 from repro.analysis.graph import DepEdge, DependenceGraph
@@ -58,6 +61,28 @@ class _ArrayAccess:
     is_write: bool
 
 
+class PairTestMemo:
+    """Value-keyed memos of the array pair tests.
+
+    Every entry is a pure function of subscript expressions and
+    :class:`LoopContext` values, never of qids or positions, so a memo
+    stays valid across program versions: the analysis manager shares
+    one among every analyzer it builds.  Large programs repeat a small
+    vocabulary of subscript shapes across many access pairs.
+    """
+
+    __slots__ = ("renamed", "verdicts", "vectors")
+
+    def __init__(self) -> None:
+        #: (subscripts, private lcvs, side tag) -> renamed subscripts
+        self.renamed: dict[tuple, tuple] = {}
+        #: (src subscripts, dst subscripts, loop contexts) -> per-level
+        #: direction sets, or None for a proven independence
+        self.verdicts: dict[tuple, Optional[tuple]] = {}
+        #: per-level direction sets -> concrete direction vectors
+        self.vectors: dict[tuple, list[tuple[str, ...]]] = {}
+
+
 class DependenceAnalyzer:
     """Builds the :class:`DependenceGraph` for one program version.
 
@@ -76,6 +101,9 @@ class DependenceAnalyzer:
     include every quad that reads or writes a restricted name; quads
     that mention none add nothing, so any such superset yields the
     same sites, in the same order, as a whole-program scan.
+
+    ``memo`` is the subscript-test memo to read and fill; the analysis
+    manager passes its own so the memo outlives one program version.
     """
 
     def __init__(
@@ -85,6 +113,7 @@ class DependenceAnalyzer:
         restrict_ctrl_qids: Optional[frozenset[int]] = None,
         structure: Optional[StructureTable] = None,
         scope: Optional[Iterable[int]] = None,
+        memo: Optional[PairTestMemo] = None,
     ):
         self.program = program
         # callers holding the current-version structure (the analysis
@@ -101,16 +130,11 @@ class DependenceAnalyzer:
         self._uses_of_var: dict[str, list[_Site]] = {}
         self._accesses: dict[str, list[_ArrayAccess]] = {}
         self._site_flow_cache: Optional[SiteFlow] = None
-        # memoization for the array-pair tests: all of these are pure
-        # functions of values that cannot change within one analysis
-        # (the structure table and program are fixed for the version),
-        # and large programs repeat a small vocabulary of subscript
-        # shapes across millions of access pairs
+        self._memo = memo if memo is not None else PairTestMemo()
+        # keyed by qid, so valid for this version only: a loop bound can
+        # change (CTP) without its head's qid changing
         self._context_cache: dict[int, LoopContext] = {}
         self._lcvs_cache: dict[int, frozenset[str]] = {}
-        self._rename_cache: dict[tuple, tuple] = {}
-        self._pair_test_cache: dict[tuple, Optional[tuple]] = {}
-        self._vector_cache: dict[tuple, list[tuple[str, ...]]] = {}
         if scope is None:
             self._collect_sites(enumerate(program))
         else:
@@ -398,13 +422,52 @@ class DependenceAnalyzer:
     # ------------------------------------------------------------------
     def _array_dependences(self) -> None:
         for name, access_list in self._accesses.items():
-            for src in access_list:
-                for dst in access_list:
-                    if src is dst:
-                        continue
-                    if not (src.is_write or dst.is_write):
-                        continue
-                    self._array_pair(name, src, dst)
+            for src, dst in self._array_pairs(access_list):
+                self._array_pair(name, src, dst)
+
+    def _array_pairs(
+        self, accesses: list[_ArrayAccess]
+    ) -> Iterator[tuple[_ArrayAccess, _ArrayAccess]]:
+        """The ordered pairs of one array's accesses worth testing.
+
+        A dimension is *pinned* when its subscript is a constant
+        ``Affine``.  Two accesses pinned at different constants in the
+        same dimension are independent in every loop context (ZIV), so
+        only pairs with a write that no pinned dimension separates are
+        yielded: each source in access order, its sinks in access order.
+        That is the all-pairs order less pairs that add nothing, so the
+        edges come out in the same order (see docs/analysis.md).
+        """
+        pins = [_pins(access.ref) for access in accesses]
+        every = range(len(accesses))
+        pinned_at: dict[tuple[int, int], set[int]] = {}
+        pinned_in: dict[int, set[int]] = {}
+        for index, pin in enumerate(pins):
+            for key in pin:
+                pinned_at.setdefault(key, set()).add(index)
+                pinned_in.setdefault(key[0], set()).add(index)
+        # an access not pinned in a dimension (non-constant there, or of
+        # a lower rank) is loose there; a (dimension, constant) key is
+        # not separated from the accesses pinned at it or loose there
+        loose = {dim: set(every) - pinned for dim, pinned in pinned_in.items()}
+        groups = {
+            key: pinned | loose[key[0]] for key, pinned in pinned_at.items()
+        }
+        # a pin tuple's sinks are the intersection of its keys' groups
+        sinks_of: dict[tuple[tuple[int, int], ...], Sequence[int]] = {
+            (): every
+        }
+        for index, src in enumerate(accesses):
+            pin = pins[index]
+            sinks = sinks_of.get(pin)
+            if sinks is None:
+                sinks = sinks_of[pin] = sorted(
+                    set.intersection(*(groups[key] for key in pin))
+                )
+            for other in sinks:
+                dst = accesses[other]
+                if other != index and (src.is_write or dst.is_write):
+                    yield src, dst
 
     def _array_pair(
         self, name: str, src: _ArrayAccess, dst: _ArrayAccess
@@ -425,18 +488,19 @@ class DependenceAnalyzer:
         src_subs = self._disambiguate(src, common_lcvs, "src")
         dst_subs = self._disambiguate(dst, common_lcvs, "dst")
         key = (src_subs, dst_subs, tuple(contexts))
+        memo = self._memo
         try:
-            per_level = self._pair_test_cache[key]
+            per_level = memo.verdicts[key]
         except KeyError:
             verdict = test_access_pair(src_subs, dst_subs, contexts)
             per_level = None if verdict is None else tuple(verdict)
-            self._pair_test_cache[key] = per_level
+            memo.verdicts[key] = per_level
         if per_level is None:
             return
-        vectors = self._vector_cache.get(per_level)
+        vectors = memo.vectors.get(per_level)
         if vectors is None:
             vectors = expand_direction_vectors(per_level)
-            self._vector_cache[per_level] = vectors
+            memo.vectors[per_level] = vectors
         if len(vectors) > MAX_VECTORS_PER_PAIR:
             clipped = len(vectors) - MAX_VECTORS_PER_PAIR
             note = (
@@ -497,7 +561,7 @@ class DependenceAnalyzer:
         if not own_lcvs:
             return access.ref.subscripts
         key = (access.ref.subscripts, frozenset(own_lcvs), tag)
-        cached = self._rename_cache.get(key)
+        cached = self._memo.renamed.get(key)
         if cached is not None:
             return cached
         renamed = []
@@ -512,7 +576,7 @@ class DependenceAnalyzer:
             else:
                 renamed.append(sub)
         result = tuple(renamed)
-        self._rename_cache[key] = result
+        self._memo.renamed[key] = result
         return result
 
     def _chain_lcvs(self, qid: int) -> frozenset[str]:
@@ -570,6 +634,33 @@ class DependenceAnalyzer:
                 self.graph.add(
                     DepEdge(kind="ctrl", src=guard, dst=qid, var="")
                 )
+
+
+class AllPairsAnalyzer(DependenceAnalyzer):
+    """The reference analyzer: tests every ordered pair of accesses to
+    an array that includes a write.
+
+    The analysis manager's shadow check (``REPRO_ANALYSIS_CHECK``)
+    compares every full rebuild and every incremental refresh against
+    it.  Built without ``structure`` and ``memo``, it makes its own.
+    """
+
+    def _array_pairs(
+        self, accesses: list[_ArrayAccess]
+    ) -> Iterator[tuple[_ArrayAccess, _ArrayAccess]]:
+        for src in accesses:
+            for dst in accesses:
+                if src is not dst and (src.is_write or dst.is_write):
+                    yield src, dst
+
+
+def _pins(ref: ArrayRef) -> tuple[tuple[int, int], ...]:
+    """``(dimension, constant)`` for each constant subscript of ``ref``."""
+    return tuple(
+        (dim, sub.const)
+        for dim, sub in enumerate(ref.subscripts)
+        if isinstance(sub, Affine) and not sub.terms
+    )
 
 
 def _lcv_name(head_quad) -> str:

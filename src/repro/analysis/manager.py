@@ -21,13 +21,17 @@ analysis the dominant cost of multi-pass pipelines.  The
   the fresh edges into the retained graph.  A ``name -> qids`` index
   scopes that analyzer to the quads mentioning an affected name, so a
   refresh costs what the edit touched rather than what the program
-  holds (the structure table and the edge partition stay O(n)).
+  holds (the structure table and the edge partition stay O(n)).  One
+  subscript-test memo, keyed by values only, serves every analyzer the
+  manager builds, across versions.
 
 Why the splice is exact, not approximate: scalar dependences are
 solved with per-variable gen/kill bit masks, so the dataflow solution
 of one variable never reads another variable's bits; array dependence
 tests consume only the two accesses' subscript expressions and the
-(marker-determined) loop structure; and with structured control flow,
+(marker-determined) loop structure, and are pure functions of those
+values, so their memo stays valid when the program changes; and with
+structured control flow,
 inserting, deleting or moving a *non-marker* quad cannot change the
 path relations between any other pair of statements.  Hence every
 edge whose variable is untouched — and whose endpoints did not move —
@@ -36,21 +40,28 @@ touch of a structural marker (``DO``/``DOALL``/``ENDDO``/``IF``/
 ``ELSE``/``ENDIF``) falls back to a full rebuild.
 
 Set ``REPRO_ANALYSIS_CHECK=1`` (or construct with ``full_check=True``)
-to shadow every incremental update with a from-scratch rebuild and
-assert edge-set equality, and to compare the maintained name index
-with a fresh scan — the debug mode the property tests and CI use to
-prove the two paths agree.
+to compare every full rebuild, edge for edge in order and notes
+included, and every incremental update, as an edge set, with the
+all-pairs reference (:class:`AllPairsAnalyzer`, with its own structure
+table and memo), and to compare the maintained name index with a fresh
+scan — the debug mode the property tests and CI use to prove the paths
+agree.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Optional, TypeVar
 
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.control_dep import ControlDependence, compute_control_deps
-from repro.analysis.dependence import DependenceAnalyzer
+from repro.analysis.dependence import (
+    AllPairsAnalyzer,
+    DependenceAnalyzer,
+    PairTestMemo,
+)
 from repro.analysis.dominators import DominatorTree, compute_dominators
 from repro.analysis.graph import DepEdge, DependenceGraph
 from repro.analysis.liveness import Liveness, compute_liveness
@@ -81,7 +92,7 @@ T = TypeVar("T")
 
 
 class IncrementalMismatchError(AssertionError):
-    """The shadow check found an incremental/full graph divergence."""
+    """The shadow check found a graph that diverges from the reference."""
 
 
 @dataclass
@@ -189,6 +200,9 @@ class AnalysisManager:
         #: name -> qids of the quads whose ``_QuadInfo.names`` hold it;
         #: kept in step with ``_quad_infos`` (entries may go empty)
         self._name_index: dict[str, set[int]] = {}
+        #: the subscript-test memo every analyzer built here shares; it
+        #: holds values only, so it survives versions and ``invalidate``
+        self._pair_memo = PairTestMemo()
         #: per-refresh dependence deltas: (from_version, to_version,
         #: the changed edges as (kind, src, dst) triples, or None when
         #: the refresh could not produce an exact diff).  Consumed by
@@ -295,9 +309,12 @@ class AnalysisManager:
 
     def _full_rebuild(self) -> DependenceGraph:
         self.stats.full_rebuilds += 1
-        return DependenceAnalyzer(
-            self.program, structure=self.structure()
+        graph = DependenceAnalyzer(
+            self.program, structure=self.structure(), memo=self._pair_memo
         ).analyze()
+        if self.full_check:
+            self._reference_check(graph)
+        return graph
 
     def _plan_update(
         self, changes: list[ProgramChange]
@@ -358,6 +375,7 @@ class AnalysisManager:
             ),
             structure=self.structure(),
             scope=scope,
+            memo=self._pair_memo,
         ).analyze()
         # data edges partition by variable name, ctrl edges by touched
         # sink.  A deleted quad's edges all go: its names are affected,
@@ -382,18 +400,42 @@ class AnalysisManager:
             for edge in set(removed).symmetric_difference(partial.edges)
         )
 
-    def _shadow_check(self, incremental: DependenceGraph) -> None:
-        """Assert the spliced graph equals a from-scratch rebuild."""
+    def _reference_check(self, rebuilt: DependenceGraph) -> None:
+        """Assert a full rebuild equals the all-pairs reference: the same
+        edges in the same order, and the same notes."""
         self.stats.shadow_checks += 1
-        full = DependenceAnalyzer(self.program).analyze()
+        want = AllPairsAnalyzer(self.program).analyze()
+        if rebuilt.edges == want.edges and rebuilt.notes == want.notes:
+            return
+        pairs = zip_longest(rebuilt.edges, want.edges)
+        for index, (got, expected) in enumerate(pairs):
+            if got != expected:
+                where = (
+                    f"edge {index}: {got or 'none'} "
+                    f"(reference: {expected or 'none'})"
+                )
+                break
+        else:
+            where = f"notes {rebuilt.notes} (reference: {want.notes})"
+        raise IncrementalMismatchError(
+            "full dependence rebuild diverged from the all-pairs reference "
+            f"at program version {self.program.version}: first difference "
+            f"at {where}"
+        )
+
+    def _shadow_check(self, incremental: DependenceGraph) -> None:
+        """Assert the spliced graph's edges equal the all-pairs
+        reference's."""
+        self.stats.shadow_checks += 1
+        full = AllPairsAnalyzer(self.program).analyze()
         got, want = incremental.edge_set(), full.edge_set()
         if got == want:
             return
         missing = sorted(str(e) for e in want - got)
         extra = sorted(str(e) for e in got - want)
         raise IncrementalMismatchError(
-            "incremental dependence update diverged from full rebuild "
-            f"at program version {self.program.version}:\n"
+            "incremental dependence update diverged from the all-pairs "
+            f"reference at program version {self.program.version}:\n"
             f"  missing ({len(missing)}): {missing[:10]}\n"
             f"  extra ({len(extra)}): {extra[:10]}"
         )
@@ -508,7 +550,8 @@ class AnalysisManager:
     # maintenance
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Forget every cached product (next access recomputes fully)."""
+        """Forget every cached product (next access recomputes fully).
+        The subscript-test memo stays: it depends on no version."""
         self._products.clear()
         self._graph = None
         self._graph_version = -1

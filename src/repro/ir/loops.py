@@ -172,8 +172,8 @@ class StructureTable:
         """Head qids of the loops enclosing a quad, outermost first.
 
         Cached per quad: dependence analysis asks for the chain of both
-        endpoints of every access pair, and the table is immutable for
-        its program version.
+        endpoints of every access pair it tests, and the table is
+        immutable for its program version.
         """
         cached = self._chain_cache.get(qid)
         if cached is not None:

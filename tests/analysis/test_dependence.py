@@ -1,8 +1,15 @@
 """Unit tests for whole-program dependence computation."""
 
-from repro.analysis.dependence import compute_dependences
+from repro.analysis.dependence import (
+    AllPairsAnalyzer,
+    DependenceAnalyzer,
+    compute_dependences,
+)
 from repro.frontend.lower import parse_program
+from repro.genesis.driver import DriverOptions
+from repro.genesis.pipeline import optimize
 from repro.ir.builder import IRBuilder
+from repro.workloads.suite import workload
 
 
 def deps_of(source):
@@ -206,6 +213,45 @@ class TestArrayDeps:
         graph = compute_dependences(b.build())
         assert not edges(graph, "flow", src=first.qid, dst=second.qid)
         assert not edges(graph, "anti", src=first.qid, dst=second.qid)
+
+
+class TestArrayPartition:
+    def test_unrolled_ordering_tests_few_pairs(self, optimizers, monkeypatch):
+        """After the standard catalog, ``ordering``'s subscripts are
+        mostly constants: the partitioned analyzer finds the reference's
+        edges, in order, with at most 1/20 of its pair tests."""
+        program = optimize(
+            workload("ordering").load(), list(optimizers.values()),
+            DriverOptions(apply_all=True),
+        ).program
+        assert len(program) == 123
+        calls = {DependenceAnalyzer: 0, AllPairsAnalyzer: 0}
+        original = DependenceAnalyzer._array_pair
+
+        def counted(self, name, src, dst):
+            calls[type(self)] += 1
+            original(self, name, src, dst)
+
+        monkeypatch.setattr(DependenceAnalyzer, "_array_pair", counted)
+        got = DependenceAnalyzer(program).analyze()
+        want = AllPairsAnalyzer(program).analyze()
+        assert got.edges == want.edges
+        assert got.notes == want.notes
+        assert any(edge.var == "a" for edge in got.edges)
+        assert 0 < 20 * calls[DependenceAnalyzer] <= calls[AllPairsAnalyzer]
+
+    def test_constant_subscripts_separate_only_their_dimension(self):
+        b = IRBuilder()
+        with b.loop("i", 1, 4):
+            store = b.assign(b.arr("a", 1, "i"), 0)
+            other_row = b.assign("x", b.arr("a", 2, "i"))
+            same_row = b.assign("y", b.arr("a", 1, "i"))
+            symbolic = b.assign("z", b.arr("a", "n", 1))
+            short = b.assign("w", b.arr("a", 1))
+        graph = compute_dependences(b.build())
+        assert not edges(graph, "flow", src=store.qid, dst=other_row.qid)
+        for sink in (same_row, symbolic, short):
+            assert edges(graph, "flow", src=store.qid, dst=sink.qid)
 
 
 class TestControl:

@@ -8,7 +8,7 @@ name index) and the stats counters.
 
 import pytest
 
-from repro.analysis.dependence import compute_dependences
+from repro.analysis.dependence import DependenceAnalyzer, compute_dependences
 from repro.analysis.manager import (
     AnalysisManager,
     IncrementalMismatchError,
@@ -21,6 +21,7 @@ from repro.ir.program import Program
 from repro.ir.quad import Opcode, Quad
 from repro.ir.types import Const, Var
 from repro.opts.catalog import standard_optimizers
+from repro.workloads.suite import workload
 from repro.workloads.synthetic import random_program
 
 #: The benchmarked ten-pass scalar pipeline.
@@ -254,7 +255,8 @@ class TestShadowCheck:
         qid = program[0].qid
         program.touch(qid, program.preimage(qid))
         manager.graph()
-        assert manager.stats.shadow_checks == 1
+        # the first build and the refresh are both checked
+        assert manager.stats.shadow_checks == 2
 
     def test_env_var_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYSIS_CHECK", "1")
@@ -274,6 +276,24 @@ class TestShadowCheck:
         with pytest.raises(IncrementalMismatchError):
             manager.graph()
         assert stale is not None
+
+    def test_full_rebuild_checked_against_all_pairs(self, monkeypatch):
+        b = IRBuilder()
+        b.assign(b.arr("a", 1), "x")
+        b.assign("y", b.arr("a", 1))
+        program = b.build()
+        original = DependenceAnalyzer._array_pairs
+
+        def drop_first(self, accesses):
+            pairs = original(self, accesses)
+            next(pairs, None)  # the store-to-load pair
+            yield from pairs
+
+        monkeypatch.setattr(DependenceAnalyzer, "_array_pairs", drop_first)
+        manager = AnalysisManager(program, full_check=True)
+        with pytest.raises(IncrementalMismatchError, match="first difference"):
+            manager.graph()
+        assert manager.stats.full_rebuilds == manager.stats.shadow_checks == 1
 
     def test_index_drift_raises(self, monkeypatch):
         program = straight_line()
@@ -308,7 +328,7 @@ class TestShadowCheck:
                                   a=Var("n")))
         manager.graph()
         assert store.qid not in manager._name_index["a"]
-        assert manager.stats.shadow_checks == 1
+        assert manager.stats.shadow_checks == 2
 
 
 @pytest.fixture(scope="module")
@@ -326,7 +346,28 @@ def test_scalar_pipeline_refreshes_match_full_rebuilds(pipeline_passes, seed):
     optimize(program, pipeline_passes, DriverOptions(apply_all=True),
              in_place=True, manager=manager)
     stats = manager.stats
-    assert stats.shadow_checks == stats.incremental_updates > 0
+    assert stats.incremental_updates > 0
+    builds = stats.full_rebuilds + stats.incremental_updates
+    assert stats.shadow_checks == builds
+
+
+def test_unrolled_refreshes_match_all_pairs():
+    """LUR, CTP and DCE over an unrolled suite program: one memo serves
+    every version, and every build and refresh is checked against the
+    all-pairs reference."""
+    optimizers = standard_optimizers(("CTP", "DCE", "LUR"))
+    program = workload("tridiag").load()
+    manager = AnalysisManager(program, full_check=True)
+    optimize(
+        program, [optimizers[name] for name in ("CTP", "LUR", "CTP", "DCE")],
+        DriverOptions(apply_all=True), in_place=True, manager=manager,
+    )
+    stats = manager.stats
+    assert len(program) > 60  # unrolled
+    assert stats.full_rebuilds > 1 and stats.incremental_updates > 0
+    builds = stats.full_rebuilds + stats.incremental_updates
+    assert stats.shadow_checks == builds
+    assert manager._pair_memo.verdicts
 
 
 class TestManagerFor:
