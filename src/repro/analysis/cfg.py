@@ -19,9 +19,9 @@ distinguish loop-independent from loop-carried reaching paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.ir.program import IRError, Program
+from repro.ir.loops import match_regions
+from repro.ir.program import Program
 from repro.ir.quad import LOOP_HEADS, Opcode
 
 
@@ -75,45 +75,22 @@ class CFG:
 def build_cfg(program: Program) -> CFG:
     """Construct the CFG for a structured program.
 
-    Raises :class:`IRError` on malformed nesting (delegated to
-    :meth:`Program.check_structure` semantics).
+    The edges come from :func:`repro.ir.loops.match_regions`'s pairs,
+    so malformed nesting raises the matcher's :class:`IRError`.
     """
-    program.check_structure()
+    end, orelse = match_regions(program)
     size = len(program)
     cfg = CFG(
         program=program,
         succs=[[] for _ in range(size + 1)],
         preds=[[] for _ in range(size + 1)],
     )
-
-    # match the structured regions (reverse maps recorded here so edge
-    # construction is O(1) per marker instead of scanning every region)
-    else_of: dict[int, Optional[int]] = {}
-    endif_of: dict[int, int] = {}
-    head_of_enddo: dict[int, int] = {}
-    guard_of_else: dict[int, int] = {}
-    stack: list[tuple[str, int]] = []
-    for position, quad in enumerate(program):
-        op = quad.opcode
-        if op in LOOP_HEADS:
-            stack.append(("do", position))
-        elif op is Opcode.ENDDO:
-            kind, head = stack.pop()
-            assert kind == "do"
-            cfg.enddo_of[head] = position
-            head_of_enddo[position] = head
-        elif op is Opcode.IF:
-            stack.append(("if", position))
-            else_of[position] = None
-        elif op is Opcode.ELSE:
-            kind, guard = stack[-1]
-            assert kind == "if"
-            else_of[guard] = position
-            guard_of_else[position] = guard
-        elif op is Opcode.ENDIF:
-            kind, guard = stack.pop()
-            assert kind == "if"
-            endif_of[guard] = position
+    head_of_end = {close: head for head, close in end.items()}
+    guard_of_else = {
+        position: guard
+        for guard, position in orelse.items()
+        if position is not None
+    }
 
     def add_edge(src: int, dst: int, back: bool = False) -> None:
         cfg.succs[src].append(dst)
@@ -124,29 +101,24 @@ def build_cfg(program: Program) -> CFG:
     for position, quad in enumerate(program):
         op = quad.opcode
         if op in LOOP_HEADS:
-            enddo = cfg.enddo_of[position]
+            enddo = end[position]
+            cfg.enddo_of[position] = enddo
             add_edge(position, position + 1)  # enter the body
             add_edge(position, enddo + 1)  # zero-trip skip
         elif op is Opcode.ENDDO:
-            head = head_of_enddo.get(position)
-            if head is None:
-                raise IRError(
-                    f"no loop head for ENDDO at position {position}"
-                )
-            add_edge(position, head, back=True)  # next iteration
-            add_edge(position, position + 1)  # loop exit
+            # next iteration, then the loop exit
+            add_edge(position, head_of_end[position], back=True)
+            add_edge(position, position + 1)
         elif op is Opcode.IF:
             add_edge(position, position + 1)  # THEN part
-            orelse = else_of[position]
-            if orelse is not None:
-                add_edge(position, orelse + 1)  # ELSE part
+            else_position = orelse[position]
+            if else_position is not None:
+                add_edge(position, else_position + 1)  # ELSE part
             else:
-                add_edge(position, endif_of[position])
+                add_edge(position, end[position])
         elif op is Opcode.ELSE:
-            guard = guard_of_else.get(position)
-            if guard is None:
-                raise IRError(f"no IF for ELSE at position {position}")
-            add_edge(position, endif_of[guard])  # skip the ELSE body
+            # skip the ELSE body
+            add_edge(position, end[guard_of_else[position]])
         else:
             add_edge(position, position + 1)
 

@@ -29,11 +29,6 @@ class Liveness:
         bits = self.result.in_bits(position)
         return frozenset(self.variables[i] for i in bits_to_indices(bits))
 
-    def live_out(self, position: int) -> frozenset[str]:
-        """Variables live on exit from the quad at ``position``."""
-        bits = self.result.out_bits(position)
-        return frozenset(self.variables[i] for i in bits_to_indices(bits))
-
     def is_live_out(self, position: int, var: str) -> bool:
         index = self.var_index.get(var)
         if index is None:

@@ -80,11 +80,6 @@ class CostBenefitRow:
             return float(self.estimated_cost)
         return self.estimated_cost / self.applications
 
-    def benefit_per_application(self, model: str) -> float:
-        if self.applications == 0:
-            return 0.0
-        return self.benefit.get(model, 0.0) / self.applications
-
 
 @dataclass
 class CostBenefitResult:

@@ -44,11 +44,6 @@ from repro.workloads.suite import Workload, workload
 TRIO = ("FUS", "INX", "LUR")
 
 
-def _fingerprint(program: Program) -> str:
-    """Canonical content hash (shared definition: ``Program.fingerprint``)."""
-    return program.fingerprint()
-
-
 @dataclass
 class OrderingRun:
     """One permutation's outcome."""

@@ -52,15 +52,6 @@ class QualityRow:
     def comparable_code(self) -> bool:
         return self.generated_size == self.handcoded_size
 
-    @property
-    def all_good(self) -> bool:
-        return (
-            self.same_points
-            and self.comparable_code
-            and self.generated_correct
-            and self.handcoded_correct
-        )
-
 
 @dataclass
 class QualityResult:

@@ -153,9 +153,6 @@ class MatchContext:
             )
         return value
 
-    def is_bound(self, name: str) -> bool:
-        return name in self.bindings
-
     def snapshot_bindings(self) -> dict[str, object]:
         return dict(self.bindings)
 

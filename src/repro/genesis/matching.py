@@ -159,20 +159,6 @@ class MatchStats:
     #: read by genesis_bench/child.py (frozen); nothing counts it: 0
     network_entries_reused = 0
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "full_sweeps": self.full_sweeps,
-            "worklist_sweeps": self.worklist_sweeps,
-            "cached_sweeps": self.cached_sweeps,
-            "shadow_checks": self.shadow_checks,
-            "points_survived": self.points_survived,
-            "points_dropped": self.points_dropped,
-            "points_rediscovered": self.points_rediscovered,
-            "index_hits": self.index_hits,
-            "candidates_scanned": self.candidates_scanned,
-            "sweep_seconds": self.sweep_seconds,
-        }
-
     def summary(self) -> str:
         return (
             f"matching: {self.candidates_scanned} candidate(s) scanned, "

@@ -123,13 +123,6 @@ def usable_primary_groups(
     return groups
 
 
-def _has_selective_direction(dep: DepCond) -> bool:
-    """Direction patterns containing '<' or '>' match few edges."""
-    if dep.direction is None:
-        return False
-    return any(direction in ("<", ">") for direction in dep.direction)
-
-
 def _has_bound_endpoint(dep: DepCond, plan: ClausePlan) -> bool:
     search = set(plan.search_vars)
     for value in (dep.src, dep.dst):

@@ -306,10 +306,6 @@ class QuadStore:
     # ------------------------------------------------------------------
     # introspection (tests and benchmarks)
     # ------------------------------------------------------------------
-    def block_lengths(self) -> list[int]:
-        """Current block sizes (invariant checks in tests)."""
-        return [len(block.quads) for block in self._blocks]
-
     def check_invariants(self) -> None:
         """Assert internal consistency (property tests call this)."""
         assert self._size == sum(len(b.quads) for b in self._blocks)

@@ -6,6 +6,11 @@ the program before and after transformation on concrete inputs and
 comparing the observable behaviour (the ``write`` trace and final
 variable state).  It also drives the machine-model *benefit* estimates
 of experiment E5 by counting executed quads per opcode.
+
+Regions are paired once, when an :class:`Interpreter` is constructed,
+by :func:`repro.ir.loops.match_regions`.  A program whose markers do
+not nest raises :class:`InterpError` there, so an oracle sees a torn
+program as one more runtime failure of that side.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.ir.program import Program
+from repro.ir.loops import match_regions
+from repro.ir.program import IRError, Program
 from repro.ir.quad import (
     BINARY_OPS,
     LOOP_HEADS,
@@ -103,8 +109,10 @@ class Interpreter:
         self.strict = strict
         self.array_bounds = array_bounds
         self._quads = list(program)
-        self._enddo_of: dict[int, int] = {}
-        self._else_endif_of: dict[int, tuple[Optional[int], int]] = {}
+        try:
+            self._end, self._orelse = match_regions(self._quads)
+        except IRError as error:
+            raise InterpError(str(error)) from None
 
     def run(
         self,
@@ -173,10 +181,7 @@ class Interpreter:
 
     def _run_loop(self, state: "_State", head_position: int) -> int:
         head = self._quads[head_position]
-        end_position = self._enddo_of.get(head_position)
-        if end_position is None:
-            end_position = self._matching_enddo(head_position)
-            self._enddo_of[head_position] = end_position
+        end_position = self._end[head_position]
         lcv = head.result
         assert isinstance(lcv, Var)
         init = state.load(head.a)
@@ -196,11 +201,8 @@ class Interpreter:
 
     def _run_if(self, state: "_State", if_position: int) -> int:
         guard = self._quads[if_position]
-        cached = self._else_endif_of.get(if_position)
-        if cached is None:
-            cached = self._matching_else_endif(if_position)
-            self._else_endif_of[if_position] = cached
-        else_position, endif_position = cached
+        else_position = self._orelse[if_position]
+        endif_position = self._end[if_position]
         taken = _apply_relop(
             guard.relop, state.load(guard.a), state.load(guard.b)
         )
@@ -210,36 +212,6 @@ class Interpreter:
         elif else_position is not None:
             self._run_range(state, else_position + 1, endif_position)
         return endif_position + 1
-
-    # ------------------------------------------------------------------
-    def _matching_enddo(self, head_position: int) -> int:
-        depth = 0
-        for position in range(head_position, len(self._quads)):
-            op = self._quads[position].opcode
-            if op in LOOP_HEADS:
-                depth += 1
-            elif op is Opcode.ENDDO:
-                depth -= 1
-                if depth == 0:
-                    return position
-        raise InterpError("unterminated loop")
-
-    def _matching_else_endif(
-        self, if_position: int
-    ) -> tuple[Optional[int], int]:
-        depth = 0
-        else_position: Optional[int] = None
-        for position in range(if_position, len(self._quads)):
-            op = self._quads[position].opcode
-            if op is Opcode.IF:
-                depth += 1
-            elif op is Opcode.ELSE and depth == 1:
-                else_position = position
-            elif op is Opcode.ENDIF:
-                depth -= 1
-                if depth == 0:
-                    return else_position, position
-        raise InterpError("unterminated IF")
 
 
 @dataclass

@@ -1,20 +1,82 @@
 """Loop and conditional structure recovered from the marker quads.
 
+:func:`match_regions` is the one reading of the IR's nesting rule: it
+pairs every ``DO``/``DOALL`` with its ``ENDDO`` and every ``IF`` with
+its optional ``ELSE`` and its ``ENDIF`` in a single stack pass, and
+raises :class:`IRError` on any nesting fault.  The nesting check, the
+CFG, the interpreter, the time estimator and the shrinker all read
+their regions from it.
+
 GOSpeL's loop types (``Loop``, ``Nested Loops``, ``Tight Loops``,
 ``Adjacent Loops``) and loop attributes (``.HEAD``, ``.END``, ``.BODY``,
-``.LCV``, ``.INIT``, ``.FINAL``) are answered from the structures built
-here.  The tables are pure views: they hold qids, not positions, and are
-rebuilt whenever the program version changes.
+``.LCV``, ``.INIT``, ``.FINAL``) are answered from the
+:class:`StructureTable` built from those pairs.  The tables are pure
+views: they hold qids, not positions, and are rebuilt whenever the
+program version changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.ir.program import IRError, Program
 from repro.ir.quad import Opcode, Quad
 from repro.ir.types import Const
+
+
+class Regions(NamedTuple):
+    """The region markers of a quad sequence, paired by position."""
+
+    #: every DO/DOALL/IF position, in program order -> its ENDDO/ENDIF
+    end: dict[int, int]
+    #: every IF position -> its ELSE position, or None without one
+    orelse: dict[int, Optional[int]]
+
+
+def match_regions(quads: Iterable[Quad]) -> Regions:
+    """Pair the region markers of ``quads`` in one stack pass.
+
+    Raises :class:`IRError`, naming the offending qid, when an
+    ``ENDDO`` or ``ENDIF`` does not close an innermost open region of
+    its own kind, when an ``ELSE``'s innermost open region is not an
+    ``IF`` or is an ``IF`` that already has an ``ELSE``, and when a
+    region is still open at the end.
+    """
+    end: dict[int, int] = {}
+    orelse: dict[int, Optional[int]] = {}
+    stack: list[tuple[int, Quad]] = []
+    # enum members as locals: this loop runs once per quad, and an
+    # ``Opcode.X`` lookup costs more than the rest of a quad's work
+    do, doall, if_ = Opcode.DO, Opcode.DOALL, Opcode.IF
+    enddo, else_, endif = Opcode.ENDDO, Opcode.ELSE, Opcode.ENDIF
+    for position, quad in enumerate(quads):
+        op = quad.opcode
+        if op is do or op is doall or op is if_:
+            stack.append((position, quad))
+            end[position] = -1  # set at the closer; keeps program order
+            if op is if_:
+                orelse[position] = None
+        elif op is enddo or op is endif:
+            if not stack or (stack[-1][1].opcode is if_) != (op is endif):
+                raise IRError(f"unmatched {op.name} at qid {quad.qid}")
+            end[stack.pop()[0]] = position
+        elif op is else_:
+            if not stack or stack[-1][1].opcode is not if_:
+                raise IRError(f"ELSE outside IF at qid {quad.qid}")
+            opener, opener_quad = stack[-1]
+            if orelse[opener] is not None:
+                raise IRError(
+                    f"second ELSE at qid {quad.qid} for the IF at qid "
+                    f"{opener_quad.qid}"
+                )
+            orelse[opener] = position
+    if stack:
+        _position, quad = stack[-1]
+        raise IRError(
+            f"unterminated {quad.opcode.name} region at qid {quad.qid}"
+        )
+    return Regions(end, orelse)
 
 
 @dataclass
@@ -36,7 +98,12 @@ class Loop:
 
 @dataclass
 class Conditional:
-    """One IF region: the guard quad and its THEN/ELSE member qids."""
+    """One IF region: the guard quad and its THEN/ELSE member qids.
+
+    The members are every quad strictly between the IF and its ELSE
+    (THEN) and between the ELSE and the ENDIF (ELSE), nested markers
+    included.
+    """
 
     if_qid: int
     else_qid: Optional[int]
@@ -46,112 +113,74 @@ class Conditional:
 
 
 class StructureTable:
-    """Loop and conditional structure for one program version."""
+    """Loop and conditional structure for one program version.
+
+    A region opened at position h and closed at e has the quads
+    strictly inside as its body, and it controls the quads at
+    positions h < p <= e: its own ``ENDDO``, ``ELSE`` and ``ENDIF``
+    count as controlled by it.
+    """
 
     def __init__(self, program: Program):
         self.program = program
         self.version = program.version
+        #: every loop, by head qid in program order
         self.loops: dict[int, Loop] = {}
         self.conditionals: dict[int, Conditional] = {}
+        quads = list(program)
+        qids = [quad.qid for quad in quads]
         #: innermost enclosing loop head qid for every quad (or None)
-        self.enclosing_loop: dict[int, Optional[int]] = {}
+        self.enclosing_loop: dict[int, Optional[int]] = dict.fromkeys(qids)
         #: guard qids (IF or loop head) controlling each quad, outermost first
-        self.controllers: dict[int, tuple[int, ...]] = {}
+        self.controllers: dict[int, tuple[int, ...]] = dict.fromkeys(
+            qids, ()
+        )
         self._chain_cache: dict[int, tuple[int, ...]] = {}
-        self._build()
-
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        loop_stack: list[tuple[int, list[int]]] = []
-        cond_stack: list[tuple[int, Optional[int], list[int], list[int]]] = []
-        control_stack: list[int] = []
-        order: list[int] = []  # loop head qids in program order
-
-        for quad in self.program:
-            qid = quad.qid
-            self.enclosing_loop[qid] = loop_stack[-1][0] if loop_stack else None
-            self.controllers[qid] = tuple(control_stack)
-
-            op = quad.opcode
-            if op in (Opcode.DO, Opcode.DOALL):
-                for _head, body in loop_stack:
-                    body.append(qid)
-                for entry in cond_stack:
-                    (entry[3] if entry[1] is not None else entry[2]).append(qid)
-                loop_stack.append((qid, []))
-                control_stack.append(qid)
-                order.append(qid)
-            elif op is Opcode.ENDDO:
-                if not loop_stack:
-                    raise IRError(f"unmatched ENDDO at qid {qid}")
-                head_qid, body = loop_stack.pop()
-                control_stack.pop()
-                depth = len(loop_stack) + 1
-                parent = loop_stack[-1][0] if loop_stack else None
-                loop = Loop(
-                    head_qid=head_qid,
-                    end_qid=qid,
-                    depth=depth,
-                    parent=parent,
-                    body_qids=tuple(body),
-                )
-                self.loops[head_qid] = loop
-                for _head, outer_body in loop_stack:
-                    outer_body.append(qid)
-                for entry in cond_stack:
-                    (entry[3] if entry[1] is not None else entry[2]).append(qid)
-            elif op is Opcode.IF:
-                for _head, body in loop_stack:
-                    body.append(qid)
-                for entry in cond_stack:
-                    (entry[3] if entry[1] is not None else entry[2]).append(qid)
-                cond_stack.append((qid, None, [], []))
-                control_stack.append(qid)
-            elif op is Opcode.ELSE:
-                if not cond_stack:
-                    raise IRError(f"ELSE outside IF at qid {qid}")
-                if_qid, _else, then_qids, else_qids = cond_stack.pop()
-                cond_stack.append((if_qid, qid, then_qids, else_qids))
-                for _head, body in loop_stack:
-                    body.append(qid)
-            elif op is Opcode.ENDIF:
-                if not cond_stack:
-                    raise IRError(f"unmatched ENDIF at qid {qid}")
-                if_qid, else_qid, then_qids, else_qids = cond_stack.pop()
-                control_stack.pop()
-                self.conditionals[if_qid] = Conditional(
-                    if_qid=if_qid,
+        end, orelse = match_regions(quads)
+        controllers, enclosing = self.controllers, self.enclosing_loop
+        # Openers come outermost first, so an inner region overwrites
+        # the entries its enclosing region wrote.  Plain stores, not
+        # bulk dict updates: the temporary dicts of a bulk update set
+        # off about twice as many garbage collections inside the build.
+        for head, close in end.items():
+            head_qid = qids[head]
+            chain = controllers[head_qid] + (head_qid,)
+            for position in range(head + 1, close + 1):
+                controllers[qids[position]] = chain
+            if head in orelse:
+                else_position = orelse[head]
+                if else_position is None:
+                    else_qid, then_stop, else_qids = None, close, ()
+                else:
+                    else_qid, then_stop = qids[else_position], else_position
+                    else_qids = tuple(qids[else_position + 1:close])
+                self.conditionals[head_qid] = Conditional(
+                    if_qid=head_qid,
                     else_qid=else_qid,
-                    endif_qid=qid,
-                    then_qids=tuple(then_qids),
-                    else_qids=tuple(else_qids),
+                    endif_qid=qids[close],
+                    then_qids=tuple(qids[head + 1:then_stop]),
+                    else_qids=else_qids,
                 )
-                for _head, body in loop_stack:
-                    body.append(qid)
-                for entry in cond_stack:
-                    (entry[3] if entry[1] is not None else entry[2]).append(qid)
-            else:
-                for _head, body in loop_stack:
-                    body.append(qid)
-                for entry in cond_stack:
-                    (entry[3] if entry[1] is not None else entry[2]).append(qid)
-
-        if loop_stack:
-            raise IRError("unterminated loop region")
-        if cond_stack:
-            raise IRError("unterminated IF region")
-
-        for loop in self.loops.values():
-            if loop.parent is not None:
-                self.loops[loop.parent].children.append(loop.head_qid)
-        self._order = order
+                continue
+            parent = enclosing[head_qid]
+            self.loops[head_qid] = Loop(
+                head_qid=head_qid,
+                end_qid=qids[close],
+                depth=1 if parent is None else self.loops[parent].depth + 1,
+                parent=parent,
+                body_qids=tuple(qids[head + 1:close]),
+            )
+            if parent is not None:
+                self.loops[parent].children.append(head_qid)
+            for position in range(head + 1, close + 1):
+                enclosing[qids[position]] = head_qid
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def loops_in_order(self) -> list[Loop]:
         """All loops, by program order of their head quads."""
-        return [self.loops[qid] for qid in self._order]
+        return list(self.loops.values())
 
     def loop_of(self, head_qid: int) -> Loop:
         """The loop whose head quad has the given qid."""
@@ -159,10 +188,6 @@ class StructureTable:
         if loop is None:
             raise IRError(f"qid {head_qid} is not a loop head")
         return loop
-
-    def loop_head_quad(self, head_qid: int) -> Quad:
-        """The DO/DOALL quad of a loop."""
-        return self.program.quad(head_qid)
 
     def member(self, qid: int, head_qid: int) -> bool:
         """GOSpeL ``mem(S, L)``: is ``qid`` in the body of loop ``head_qid``?"""
@@ -217,8 +242,8 @@ class StructureTable:
     def nested_pairs(self) -> list[tuple[int, int]]:
         """All ``(outer, inner)`` loop pairs with outer enclosing inner."""
         pairs = []
-        for outer_qid in self._order:
-            for inner_qid in self._order:
+        for outer_qid in self.loops:
+            for inner_qid in self.loops:
                 if inner_qid == outer_qid:
                     continue
                 if self._encloses(outer_qid, inner_qid):
@@ -259,7 +284,7 @@ class StructureTable:
         follows the first's end quad.
         """
         pairs = []
-        for first_qid in self._order:
+        for first_qid in self.loops:
             first = self.loops[first_qid]
             follower = self.program.next_qid_of(first.end_qid)
             if follower is not None and follower in self.loops:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from repro.ir.blocklist import QuadStore
-from repro.ir.quad import CONTENT_HASH_BYTES, Opcode, Quad
+from repro.ir.quad import CONTENT_HASH_BYTES, Quad
 
 #: Environment variable enabling the fingerprint shadow check: every
 #: incrementally maintained digest is recomputed from scratch (all
@@ -525,29 +525,14 @@ class Program:
     def check_structure(self) -> None:
         """Validate that loop and conditional markers nest properly.
 
-        Raises :class:`IRError` on mismatched ``DO``/``ENDDO`` or
-        ``IF``/``ELSE``/``ENDIF`` nesting — transformations call this in
-        validation mode to catch primitive sequences that would tear the
-        structured IR.
+        Raises :class:`IRError` on any nesting fault that
+        :func:`repro.ir.loops.match_regions`, the IR's one region
+        matcher, rejects — transformations call this in validation mode
+        to catch primitive sequences that would tear the structured IR.
         """
-        stack: list[Opcode] = []
-        for quad in self._store:
-            op = quad.opcode
-            if op in (Opcode.DO, Opcode.DOALL, Opcode.IF):
-                stack.append(op)
-            elif op is Opcode.ELSE:
-                if not stack or stack[-1] is not Opcode.IF:
-                    raise IRError(f"ELSE outside IF at qid {quad.qid}")
-            elif op is Opcode.ENDIF:
-                if not stack or stack[-1] is not Opcode.IF:
-                    raise IRError(f"unmatched ENDIF at qid {quad.qid}")
-                stack.pop()
-            elif op is Opcode.ENDDO:
-                if not stack or stack[-1] not in (Opcode.DO, Opcode.DOALL):
-                    raise IRError(f"unmatched ENDDO at qid {quad.qid}")
-                stack.pop()
-        if stack:
-            raise IRError(f"unterminated {stack[-1].name} region")
+        from repro.ir.loops import match_regions
+
+        match_regions(self._store)
 
     def __str__(self) -> str:
         from repro.ir.printer import format_program

@@ -1,6 +1,8 @@
 """Whole-program well-formedness validation.
 
-Beyond the marker-nesting check of :meth:`Program.check_structure`,
+The nesting of region markers is checked first, by
+:meth:`Program.check_structure`, which applies the IR's one region
+matcher (:func:`repro.ir.loops.match_regions`).  Beyond it,
 :func:`validate_program` enforces the IR's semantic rules — the
 invariants every frontend-produced program satisfies and every
 transformation must preserve.  Property tests run it after each

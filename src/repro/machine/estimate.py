@@ -5,16 +5,18 @@ Walks the program structure once, multiplying statement costs by
 parallelism.  IF regions charge the more expensive branch (worst case,
 deterministic).  This mirrors how the paper *estimates* (rather than
 runs) the benefit of optimizations under different architectures.
+
+Regions come from :func:`repro.ir.loops.match_regions`, once per call;
+a program whose markers do not nest raises its :class:`IRError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.ir.loops import trip_count
+from repro.ir.loops import Regions, match_regions, trip_count
 from repro.ir.program import Program
-from repro.ir.quad import LOOP_HEADS, Opcode
+from repro.ir.quad import LOOP_HEADS, Opcode, Quad
 from repro.machine.models import MachineModel, SCALAR
 
 
@@ -36,8 +38,11 @@ def estimate_time(
     program: Program, model: MachineModel = SCALAR
 ) -> TimeEstimate:
     """Estimate execution time of a program under a machine model."""
-    parallel = _walk(program, model, 0, len(program), honour_doall=True)
-    sequential = _walk(program, model, 0, len(program), honour_doall=False)
+    quads = list(program)
+    regions = match_regions(quads)
+    size = len(quads)
+    parallel = _walk(quads, regions, model, 0, size, honour_doall=True)
+    sequential = _walk(quads, regions, model, 0, size, honour_doall=False)
     return TimeEstimate(cycles=parallel, sequential_cycles=sequential)
 
 
@@ -52,7 +57,8 @@ def estimate_benefit(
 
 
 def _walk(
-    program: Program,
+    quads: list[Quad],
+    regions: Regions,
     model: MachineModel,
     start: int,
     stop: int,
@@ -61,13 +67,14 @@ def _walk(
     total = 0.0
     position = start
     while position < stop:
-        quad = program[position]
+        quad = quads[position]
         op = quad.opcode
         if op in LOOP_HEADS:
-            end_position = _matching_enddo(program, position)
+            end_position = regions.end[position]
             trip = trip_count(quad, default=model.default_trip) or 0
             body = _walk(
-                program, model, position + 1, end_position, honour_doall
+                quads, regions, model, position + 1, end_position,
+                honour_doall,
             )
             control = model.cost_of(op) * trip
             if op is Opcode.DOALL and honour_doall:
@@ -80,20 +87,19 @@ def _walk(
                 total += body * trip + control
             position = end_position + 1
         elif op is Opcode.IF:
-            else_position, endif_position = _matching_else_endif(
-                program, position
-            )
+            else_position = regions.orelse[position]
+            endif_position = regions.end[position]
             then_stop = (
                 else_position if else_position is not None else endif_position
             )
             then_cost = _walk(
-                program, model, position + 1, then_stop, honour_doall
+                quads, regions, model, position + 1, then_stop, honour_doall
             )
             else_cost = 0.0
             if else_position is not None:
                 else_cost = _walk(
-                    program, model, else_position + 1, endif_position,
-                    honour_doall,
+                    quads, regions, model, else_position + 1,
+                    endif_position, honour_doall,
                 )
             total += model.cost_of(op) + max(then_cost, else_cost)
             position = endif_position + 1
@@ -114,33 +120,27 @@ def restrict_parallel(program: Program, policy: str) -> Program:
     if policy not in ("outermost", "innermost"):
         raise ValueError(f"unknown parallel policy {policy!r}")
     copy = program.clone()
-    stack: list[tuple[int, bool]] = []  # (position, is_doall)
-    doall_depth = 0
-    innermost_doall: list[int] = []
-    for position, quad in enumerate(copy):
-        if quad.opcode in LOOP_HEADS:
-            is_doall = quad.opcode is Opcode.DOALL
-            if is_doall:
-                if policy == "outermost" and doall_depth > 0:
-                    _demote(copy, quad.qid)
-                    is_doall = False
-                else:
-                    doall_depth += 1
-                    if policy == "innermost":
-                        innermost_doall.append(position)
-            stack.append((position, is_doall))
-        elif quad.opcode is Opcode.ENDDO:
-            _position, was_doall = stack.pop()
-            if was_doall:
-                doall_depth -= 1
-    if policy == "innermost":
-        # demote every DOALL that still contains another DOALL
-        for outer in innermost_doall:
-            end = _matching_enddo(copy, outer)
-            for inner in innermost_doall:
-                if inner != outer and outer < inner < end:
-                    _demote(copy, copy[outer].qid)
-                    break
+    quads = list(copy)
+    end = match_regions(quads).end
+    doalls = [
+        position
+        for position, quad in enumerate(quads)
+        if quad.opcode is Opcode.DOALL
+    ]
+    if policy == "outermost":
+        # keep a DOALL unless the last kept one's region encloses it
+        reach = -1
+        for position in doalls:
+            if position < reach:
+                _demote(copy, quads[position].qid)
+            else:
+                reach = end[position]
+    else:
+        # demote every DOALL that contains another one: the next DOALL
+        # in program order is its first candidate
+        for this, following in zip(doalls, doalls[1:]):
+            if following < end[this]:
+                _demote(copy, quads[this].qid)
     return copy
 
 
@@ -149,34 +149,3 @@ def _demote(program: Program, qid: int) -> None:
     before = program.preimage(qid)
     program.quad(qid).opcode = Opcode.DO
     program.touch(qid, before)
-
-
-def _matching_enddo(program: Program, head_position: int) -> int:
-    depth = 0
-    for position in range(head_position, len(program)):
-        op = program[position].opcode
-        if op in LOOP_HEADS:
-            depth += 1
-        elif op is Opcode.ENDDO:
-            depth -= 1
-            if depth == 0:
-                return position
-    raise ValueError("unterminated loop")
-
-
-def _matching_else_endif(
-    program: Program, if_position: int
-) -> tuple[Optional[int], int]:
-    depth = 0
-    else_position: Optional[int] = None
-    for position in range(if_position, len(program)):
-        op = program[position].opcode
-        if op is Opcode.IF:
-            depth += 1
-        elif op is Opcode.ELSE and depth == 1:
-            else_position = position
-        elif op is Opcode.ENDIF:
-            depth -= 1
-            if depth == 0:
-                return else_position, position
-    raise ValueError("unterminated IF")

@@ -77,10 +77,6 @@ class ChaosStats:
         """Faults that should surface as rollbacks."""
         return self.raises + self.corruptions
 
-    @property
-    def fault_fraction(self) -> float:
-        return self.injected / self.act_calls if self.act_calls else 0.0
-
     def __str__(self) -> str:
         return (
             f"chaos: {self.act_calls} act call(s), {self.raises} "

@@ -10,10 +10,13 @@ from coarsest to finest each round:
   bodies into straight-line code so the finer operator can bite;
 * delete one non-structural statement.
 
-Every candidate is a structurally valid program by construction
-(regions are removed or unwrapped atomically), so the predicate never
-sees torn IR.  The result is typically a handful of statements — small
-enough to eyeball the miscompile.
+The regions are read from :func:`repro.ir.loops.match_regions`, so
+the input program must nest properly (the matcher raises
+:class:`IRError` otherwise).  Every candidate is then a structurally
+valid program by construction (regions are removed or unwrapped
+atomically, an IF with its ELSE), so the predicate never sees torn IR.
+The result is typically a handful of statements — small enough to
+eyeball the miscompile.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.ir.interp import InterpError
+from repro.ir.loops import match_regions
 from repro.ir.program import IRError, Program
-from repro.ir.quad import LOOP_HEADS, Opcode, Quad
+from repro.ir.quad import Quad
 from repro.ir.validate import ValidationError
 
 #: predicate: True while the candidate still exhibits the failure
@@ -53,42 +57,19 @@ def _rebuild(quads: list[Quad], name: str) -> Program:
     )
 
 
-def _regions(quads: list[Quad]) -> list[tuple[int, int]]:
-    """All (start, stop) index spans of DO/IF regions, outermost first."""
-    spans: list[tuple[int, int]] = []
-    stack: list[int] = []
-    for position, quad in enumerate(quads):
-        op = quad.opcode
-        if op in LOOP_HEADS or op is Opcode.IF:
-            stack.append(position)
-        elif op in (Opcode.ENDDO, Opcode.ENDIF) and stack:
-            spans.append((stack.pop(), position))
-    spans.sort(key=lambda span: (span[0], -(span[1] - span[0])))
-    return spans
-
-
 def _candidates(quads: list[Quad], name: str) -> Iterator[Program]:
     """Candidate reductions, coarsest first."""
-    spans = _regions(quads)
+    regions = match_regions(quads)
     spans_by_size = sorted(
-        spans, key=lambda span: span[1] - span[0], reverse=True
+        regions.end.items(), key=lambda span: span[1] - span[0], reverse=True
     )
     # 1. whole-region deletion, biggest regions first
     for start, stop in spans_by_size:
         yield _rebuild(quads[:start] + quads[stop + 1:], name)
     # 2. region unwrapping (drop markers, keep the body)
     for start, stop in spans_by_size:
-        markers = {start, stop}
-        if quads[start].opcode is Opcode.IF:
-            depth = 0
-            for position in range(start, stop + 1):
-                op = quads[position].opcode
-                if op is Opcode.IF:
-                    depth += 1
-                elif op is Opcode.ENDIF:
-                    depth -= 1
-                elif op is Opcode.ELSE and depth == 1:
-                    markers.add(position)
+        # an IF's ELSE goes with it (``None`` matches no position)
+        markers = {start, stop, regions.orelse.get(start)}
         kept = [
             quad
             for position, quad in enumerate(quads)

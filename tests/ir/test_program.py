@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.analysis.cfg import build_cfg
+from repro.ir.interp import InterpError, run_program
+from repro.ir.loops import StructureTable
 from repro.ir.program import IRError, Program
 from repro.ir.quad import Opcode, Quad, assign
 from repro.ir.types import Const, Var
+from repro.machine.estimate import estimate_time
 
 
 def make_program(count=4):
@@ -153,40 +157,52 @@ class TestCloneAndQueries:
         assert program.array_names() == frozenset({"a", "b"})
 
 
+#: Torn marker layouts; ``x`` is one assignment.  Every consumer of the
+#: region matcher must reject each one.
+TORN_LAYOUTS = {
+    "crossed": "DO IF x ENDDO ENDIF",
+    "second-else": "IF x ELSE x ELSE x ENDIF",
+    "else-inside-do": "IF DO ELSE ENDDO ENDIF",
+    "endif-closes-do": "DO x ENDIF",
+    "dangling-enddo": "x ENDDO",
+    "unterminated-if": "IF x",
+    "stray-else": "IF x ENDIF ELSE",
+}
+
+_MAKERS = {
+    "x": lambda: assign(Var("x"), Const(1)),
+    "DO": lambda: Quad(Opcode.DO, result=Var("i"), a=Const(1), b=Const(2)),
+    "IF": lambda: Quad(Opcode.IF, a=Var("x"), b=Const(0), relop="<"),
+    "ELSE": lambda: Quad(Opcode.ELSE),
+    "ENDIF": lambda: Quad(Opcode.ENDIF),
+    "ENDDO": lambda: Quad(Opcode.ENDDO),
+}
+
+
+def layout_program(layout):
+    return Program(_MAKERS[token]() for token in layout.split())
+
+
+#: readers of a program's regions, with the error each must raise
+CONSUMERS = {
+    "check_structure": (Program.check_structure, IRError),
+    "StructureTable": (StructureTable, IRError),
+    "build_cfg": (build_cfg, IRError),
+    "run_program": (run_program, InterpError),
+    "estimate_time": (estimate_time, IRError),
+}
+
+
 class TestStructureValidation:
-    def test_unmatched_enddo(self):
-        program = Program()
-        program.append(Quad(Opcode.ENDDO))
-        with pytest.raises(IRError):
-            program.check_structure()
+    """One verdict on a torn program, whichever consumer reads it."""
 
-    def test_unterminated_loop(self):
-        program = Program()
-        program.append(Quad(Opcode.DO, result=Var("i"), a=Const(1),
-                            b=Const(2)))
-        with pytest.raises(IRError):
-            program.check_structure()
-
-    def test_else_outside_if(self):
-        program = Program()
-        program.append(Quad(Opcode.ELSE))
-        with pytest.raises(IRError):
-            program.check_structure()
-
-    def test_mismatched_endif_inside_loop(self):
-        program = Program()
-        program.append(Quad(Opcode.DO, result=Var("i"), a=Const(1),
-                            b=Const(2)))
-        program.append(Quad(Opcode.ENDIF))
-        with pytest.raises(IRError):
-            program.check_structure()
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    @pytest.mark.parametrize("layout", TORN_LAYOUTS)
+    def test_torn_program_rejected(self, layout, consumer):
+        read, error = CONSUMERS[consumer]
+        with pytest.raises(error):
+            read(layout_program(TORN_LAYOUTS[layout]))
 
     def test_valid_nesting_passes(self):
-        program = Program()
-        program.append(Quad(Opcode.DO, result=Var("i"), a=Const(1),
-                            b=Const(2)))
-        program.append(Quad(Opcode.IF, a=Var("x"), b=Const(0), relop="<"))
-        program.append(Quad(Opcode.ELSE))
-        program.append(Quad(Opcode.ENDIF))
-        program.append(Quad(Opcode.ENDDO))
-        program.check_structure()
+        for read, _error in CONSUMERS.values():
+            read(layout_program("DO IF x ELSE x ENDIF ENDDO"))
