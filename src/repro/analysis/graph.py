@@ -12,7 +12,7 @@ loop).  Generated optimizer code queries the graph through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from repro.analysis.subscript import matches_direction_pattern
@@ -21,7 +21,7 @@ from repro.analysis.subscript import matches_direction_pattern
 KINDS = ("flow", "anti", "out", "ctrl")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepEdge:
     """One dependence edge ``src --kind--> dst``."""
 
@@ -32,12 +32,16 @@ class DepEdge:
     vector: tuple[str, ...] = ()  # over the common loop nest
     src_pos: Optional[str] = None  # operand position at the source
     dst_pos: Optional[str] = None  # operand position at the sink
+    #: the field-tuple hash, computed on first use
+    _hash: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __hash__(self) -> int:
         # edges survive across incremental graph splices and are
         # re-inserted into each new graph's dedup set; caching the
         # field-tuple hash makes re-insertion O(1) per edge
-        cached = self.__dict__.get("_hash")
+        cached = self._hash
         if cached is None:
             cached = hash((
                 self.kind, self.src, self.dst, self.var, self.vector,

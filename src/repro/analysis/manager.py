@@ -25,6 +25,12 @@ analysis the dominant cost of multi-pass pipelines.  The
   subscript-test memo, keyed by values only, serves every analyzer the
   manager builds, across versions.
 
+* **Shared first builds** — an :class:`AnalysisCache` hands out clones
+  with their managers; the first build of a clone takes over the
+  graph of an earlier clone with the same content and qids, so a
+  campaign that clones one corpus per candidate analyses each program
+  once.
+
 Why the splice is exact, not approximate: scalar dependences are
 solved with per-variable gen/kill bit masks, so the dataflow solution
 of one variable never reads another variable's bits; array dependence
@@ -40,8 +46,9 @@ touch of a structural marker (``DO``/``DOALL``/``ENDDO``/``IF``/
 ``ELSE``/``ENDIF``) falls back to a full rebuild.
 
 Set ``REPRO_ANALYSIS_CHECK=1`` (or construct with ``full_check=True``)
-to compare every full rebuild, edge for edge in order and notes
-included, and every incremental update, as an edge set, with the
+to compare every full rebuild and every first build taken over, edge
+for edge in order and notes included, and every incremental update, as
+an edge set, with the
 all-pairs reference (:class:`AllPairsAnalyzer`, with its own structure
 table and memo), and to compare the maintained name index with a fresh
 scan — the debug mode the property tests and CI use to prove the paths
@@ -51,6 +58,7 @@ agree.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable, Optional, TypeVar
@@ -88,7 +96,17 @@ _INCREMENTAL_CHANGE_CAP = 128
 #: reads as "full resync required".
 _DELTA_CAP = 1024
 
+#: How many first builds an :class:`AnalysisCache` keeps before it
+#: drops the least recently used.  Inference's per-candidate working
+#: set (the admission corpus, the candidate's probes and exemplar, the
+#: shrinker's programs) fits in it; at 16 it no longer does.
+_FIRST_BUILD_CAP = 64
+
 T = TypeVar("T")
+
+#: An :class:`AnalysisCache` key: a program's fingerprint and its qids
+#: in order (the fingerprint leaves qids out, the graph names them).
+_ContentKey = tuple[str, tuple[int, ...]]
 
 
 class IncrementalMismatchError(AssertionError):
@@ -108,6 +126,9 @@ class AnalysisStats:
     misses: dict[str, int] = field(default_factory=dict)
     full_rebuilds: int = 0
     incremental_updates: int = 0
+    #: first builds taken over from an :class:`AnalysisCache` (counted
+    #: in neither ``full_rebuilds`` nor ``incremental_updates``)
+    adopted: int = 0
     edges_retained: int = 0
     edges_recomputed: int = 0
     shadow_checks: int = 0
@@ -124,6 +145,7 @@ class AnalysisStats:
             "misses": dict(self.misses),
             "full_rebuilds": self.full_rebuilds,
             "incremental_updates": self.incremental_updates,
+            "adopted": self.adopted,
             "edges_retained": self.edges_retained,
             "edges_recomputed": self.edges_recomputed,
             "shadow_checks": self.shadow_checks,
@@ -137,7 +159,8 @@ class AnalysisStats:
             f"{self.full_rebuilds} full dependence rebuild(s), "
             f"{self.incremental_updates} incremental update(s) "
             f"({self.edges_retained} edge(s) retained, "
-            f"{self.edges_recomputed} recomputed)"
+            f"{self.edges_recomputed} recomputed), "
+            f"{self.adopted} first build(s) adopted"
         )
 
 
@@ -167,6 +190,33 @@ def _quad_info(quad: Quad) -> _QuadInfo:
     return _QuadInfo(
         is_marker=quad.opcode in STRUCTURAL_OPS, names=_quad_names(quad)
     )
+
+
+def _name_index(infos: dict[int, _QuadInfo]) -> dict[str, set[int]]:
+    """name -> qids of the quads whose snapshot names it."""
+    index: dict[str, set[int]] = {}
+    for qid, info in infos.items():
+        for name in info.names:
+            index.setdefault(name, set()).add(qid)
+    return index
+
+
+@dataclass(frozen=True)
+class _FirstBuild:
+    """One published first build: the graph and its quad snapshot."""
+
+    graph: DependenceGraph
+    quad_infos: dict[int, _QuadInfo]
+
+
+@dataclass(frozen=True)
+class _CloneOrigin:
+    """Where a manager's program came from: the key of the content it
+    was cloned from, and its version right after the clone."""
+
+    cache: "AnalysisCache"
+    key: _ContentKey
+    version: int
 
 
 class AnalysisManager:
@@ -210,6 +260,9 @@ class AnalysisManager:
         self._deltas: list[
             tuple[int, int, Optional[frozenset[tuple[str, int, int]]]]
         ] = []
+        #: set by :meth:`AnalysisCache.clone`, cleared by the first
+        #: build (the first ``graph()`` call)
+        self._origin: Optional[_CloneOrigin] = None
 
     # ------------------------------------------------------------------
     # generic version-keyed products
@@ -264,7 +317,9 @@ class AnalysisManager:
 
         Cache hit when the version is unchanged; otherwise an
         incremental splice when the change log localizes the mutations,
-        or a full rebuild when it cannot.
+        or a full rebuild when it cannot.  A first build of a program
+        cloned through an :class:`AnalysisCache` is taken over from an
+        earlier clone of the same content when there is one.
         """
         version = self.program.version
         if self._graph is not None and self._graph_version == version:
@@ -281,8 +336,7 @@ class AnalysisManager:
         old_version = self._graph_version
         if plan is None:
             old_graph = self._graph
-            graph = self._full_rebuild()
-            self._snapshot_quads()
+            graph = self._rebuild()
             # a rebuild still yields an exact delta — the symmetric
             # difference of the two edge sets — so graph consumers (the
             # match engine's worklist) need not treat a rebuild as
@@ -307,13 +361,42 @@ class AnalysisManager:
         self._record_delta(old_version, self._graph_version, delta)
         return graph
 
+    def _rebuild(self) -> DependenceGraph:
+        """A full build and its quad snapshot.  The first build of a
+        program cloned through an :class:`AnalysisCache`, while it is
+        still the clone's content, is taken over from an earlier clone
+        of that content, or else published for later ones."""
+        origin, self._origin = self._origin, None
+        first = origin is not None and origin.version == self.program.version
+        if first:
+            entry = origin.cache._lookup(origin.key)
+            if entry is not None:
+                return self._adopt(entry)
+        graph = self._full_rebuild()
+        self._snapshot_quads()
+        if first:
+            origin.cache._store(origin.key, graph, self._quad_infos)
+        return graph
+
+    def _adopt(self, entry: _FirstBuild) -> DependenceGraph:
+        """Take over a published first build.  The graph is shared (a
+        published graph is never written); the snapshot is copied and
+        the name index rebuilt from it, since refreshes edit both in
+        place."""
+        self.stats.adopted += 1
+        if self.full_check:
+            self._reference_check(entry.graph, "adopted dependence graph")
+        self._quad_infos = dict(entry.quad_infos)
+        self._name_index = _name_index(self._quad_infos)
+        return entry.graph
+
     def _full_rebuild(self) -> DependenceGraph:
         self.stats.full_rebuilds += 1
         graph = DependenceAnalyzer(
             self.program, structure=self.structure(), memo=self._pair_memo
         ).analyze()
         if self.full_check:
-            self._reference_check(graph)
+            self._reference_check(graph, "full dependence rebuild")
         return graph
 
     def _plan_update(
@@ -400,9 +483,10 @@ class AnalysisManager:
             for edge in set(removed).symmetric_difference(partial.edges)
         )
 
-    def _reference_check(self, rebuilt: DependenceGraph) -> None:
-        """Assert a full rebuild equals the all-pairs reference: the same
-        edges in the same order, and the same notes."""
+    def _reference_check(self, rebuilt: DependenceGraph, what: str) -> None:
+        """Assert a full rebuild (or an adopted first build) equals the
+        all-pairs reference: the same edges in the same order, and the
+        same notes."""
         self.stats.shadow_checks += 1
         want = AllPairsAnalyzer(self.program).analyze()
         if rebuilt.edges == want.edges and rebuilt.notes == want.notes:
@@ -418,9 +502,8 @@ class AnalysisManager:
         else:
             where = f"notes {rebuilt.notes} (reference: {want.notes})"
         raise IncrementalMismatchError(
-            "full dependence rebuild diverged from the all-pairs reference "
-            f"at program version {self.program.version}: first difference "
-            f"at {where}"
+            f"{what} diverged from the all-pairs reference at program "
+            f"version {self.program.version}: first difference at {where}"
         )
 
     def _shadow_check(self, incremental: DependenceGraph) -> None:
@@ -473,11 +556,7 @@ class AnalysisManager:
             self._quad_infos = {
                 quad.qid: _quad_info(quad) for quad in self.program
             }
-            index: dict[str, set[int]] = {}
-            for qid, info in self._quad_infos.items():
-                for name in info.names:
-                    index.setdefault(name, set()).add(qid)
-            self._name_index = index
+            self._name_index = _name_index(self._quad_infos)
             return
         for qid in touched:
             old = self._quad_infos.pop(qid, None)
@@ -558,6 +637,54 @@ class AnalysisManager:
         self._quad_infos.clear()
         self._name_index.clear()
         self._deltas.clear()
+
+
+class AnalysisCache:
+    """First dependence builds shared by clones of the same content.
+
+    A campaign that clones the same programs over and over (inference
+    screens every candidate on one corpus) would otherwise analyse each
+    clone from scratch.  :meth:`clone` hands out a clone together with
+    a manager whose first :meth:`AnalysisManager.graph` call takes over
+    the graph and quad snapshot of an earlier clone of the same
+    content, or publishes its own for later clones.  Taking over is
+    exact: the analyzer reads only the quad sequence with its qids.
+
+    Entries are keyed by the source's fingerprint and qid sequence and
+    hold nothing else: no program, structure table or manager.  At most
+    ``_FIRST_BUILD_CAP`` are kept, least recently used dropped first.
+    One cache serves one campaign; it is never shared between runs.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[_ContentKey, _FirstBuild] = OrderedDict()
+
+    def clone(self, source: Program) -> tuple[Program, AnalysisManager]:
+        """A clone of ``source`` and the manager that serves it."""
+        working = source.clone()
+        manager = AnalysisManager(working)
+        # the source, not the clone, is hashed: a clone's quads are
+        # fresh copies whose content hashes are not cached yet
+        key = (source.fingerprint(), tuple(source.qids()))
+        manager._origin = _CloneOrigin(self, key, working.version)
+        return working, manager
+
+    def _lookup(self, key: _ContentKey) -> Optional[_FirstBuild]:
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def _store(
+        self,
+        key: _ContentKey,
+        graph: DependenceGraph,
+        quad_infos: dict[int, _QuadInfo],
+    ) -> None:
+        self._entries[key] = _FirstBuild(graph, dict(quad_infos))
+        self._entries.move_to_end(key)
+        if len(self._entries) > _FIRST_BUILD_CAP:
+            self._entries.popitem(last=False)
 
 
 def manager_for(

@@ -22,14 +22,28 @@ from typing import Optional, Sequence
 
 from repro.ir.loops import match_regions
 from repro.ir.program import IRError, Program
-from repro.ir.quad import (
-    BINARY_OPS,
-    LOOP_HEADS,
-    Opcode,
-    Quad,
-    UNARY_OPS,
-)
+from repro.ir.quad import BINARY_OPS, Opcode, Quad, UNARY_OPS
 from repro.ir.types import Affine, ArrayRef, Const, Number, Operand, Var
+
+# Opcode members bound once.  On Python 3.11 every ``Opcode.X`` load
+# goes through ``EnumType.__getattr__`` and every Enum hash (a set
+# membership test, a Counter key) runs Python code; the run loop would
+# pay both for every executed quad.
+_DO, _DOALL, _IF, _READ, _WRITE, _ASSIGN = (
+    Opcode.DO, Opcode.DOALL, Opcode.IF, Opcode.READ, Opcode.WRITE,
+    Opcode.ASSIGN,
+)
+_ADD, _SUB, _MUL, _DIV, _MOD, _POW = (
+    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.MOD, Opcode.POW,
+)
+_NEG, _ABS, _SQRT, _SIN, _COS, _EXP, _LOG = (
+    Opcode.NEG, Opcode.ABS, Opcode.SQRT, Opcode.SIN, Opcode.COS,
+    Opcode.EXP, Opcode.LOG,
+)
+#: markers the run loop steps over (tuples test membership by identity)
+_PASSIVE = (Opcode.ELSE, Opcode.ENDIF, Opcode.ENDDO, Opcode.NOP)
+_BINARY = tuple(BINARY_OPS)
+_UNARY = tuple(UNARY_OPS)
 
 
 class InterpError(Exception):
@@ -132,6 +146,7 @@ class Interpreter:
             inputs=list(inputs),
             strict=self.strict,
             array_bounds=dict(self.array_bounds or {}),
+            executions=[0] * len(self._quads),
         )
         self._run_range(state, 0, len(self.program))
         return ExecutionResult(
@@ -139,28 +154,48 @@ class Interpreter:
             scalars=state.scalars,
             arrays=state.arrays,
             steps=state.steps,
-            opcode_counts=state.opcode_counts,
+            opcode_counts=self._opcode_counts(state),
         )
+
+    def _opcode_counts(self, state: "_State") -> Counter:
+        """Fold the per-position execution counts into per-opcode
+        counts.  Folding in first-execution order of the positions
+        inserts each opcode at its first execution, the key order a
+        per-step count would have given."""
+        counts: Counter = Counter()
+        quads, executions = self._quads, state.executions
+        for position in state.first_executed:
+            counts[quads[position].opcode] += executions[position]
+        return counts
 
     # ------------------------------------------------------------------
     def _run_range(self, state: "_State", start: int, stop: int) -> None:
         """Execute quads in positions [start, stop)."""
         position = start
         quads = self._quads
+        executions = state.executions
+        max_steps = self.max_steps
         while position < stop:
             quad = quads[position]
-            state.tick(quad, self.max_steps)
+            state.steps += 1
+            if executions[position]:
+                executions[position] += 1
+            else:
+                executions[position] = 1
+                state.first_executed.append(position)
+            if state.steps > max_steps:
+                raise InterpError(f"step budget exceeded ({max_steps})")
             op = quad.opcode
-            if op in LOOP_HEADS:
+            if op is _DO or op is _DOALL:
                 position = self._run_loop(state, position)
-            elif op is Opcode.IF:
+            elif op is _IF:
                 position = self._run_if(state, position)
-            elif op in (Opcode.ELSE, Opcode.ENDIF, Opcode.ENDDO, Opcode.NOP):
+            elif op in _PASSIVE:
                 position += 1
-            elif op is Opcode.READ:
+            elif op is _READ:
                 state.store(quad.a, state.next_input())
                 position += 1
-            elif op is Opcode.WRITE:
+            elif op is _WRITE:
                 state.output.append(state.load(quad.a))
                 position += 1
             else:
@@ -169,11 +204,11 @@ class Interpreter:
 
     def _run_compute(self, state: "_State", quad: Quad) -> None:
         op = quad.opcode
-        if op is Opcode.ASSIGN:
+        if op is _ASSIGN:
             value = state.load(quad.a)
-        elif op in BINARY_OPS:
+        elif op in _BINARY:
             value = _apply_binary(op, state.load(quad.a), state.load(quad.b))
-        elif op in UNARY_OPS:
+        elif op in _UNARY:
             value = _apply_unary(op, state.load(quad.a))
         else:
             raise InterpError(f"cannot execute opcode {op}")
@@ -222,17 +257,14 @@ class _State:
     output: list[Number] = field(default_factory=list)
     steps: int = 0
     input_cursor: int = 0
-    opcode_counts: Counter = field(default_factory=Counter)
+    #: times each position executed, and the positions in the order
+    #: they first executed (folded into opcode counts by ``run``)
+    executions: list[int] = field(default_factory=list)
+    first_executed: list[int] = field(default_factory=list)
     strict: bool = False
     array_bounds: dict[str, tuple[tuple[int, int], ...]] = field(
         default_factory=dict
     )
-
-    def tick(self, quad: Quad, max_steps: int) -> None:
-        self.steps += 1
-        self.opcode_counts[quad.opcode] += 1
-        if self.steps > max_steps:
-            raise InterpError(f"step budget exceeded ({max_steps})")
 
     def next_input(self) -> Number:
         if self.input_cursor < len(self.inputs):
@@ -310,24 +342,24 @@ class _State:
 
 
 def _apply_binary(op: Opcode, left: Number, right: Number) -> Number:
-    if op is Opcode.ADD:
+    if op is _ADD:
         return left + right
-    if op is Opcode.SUB:
+    if op is _SUB:
         return left - right
-    if op is Opcode.MUL:
+    if op is _MUL:
         return left * right
-    if op is Opcode.DIV:
+    if op is _DIV:
         if right == 0:
             raise InterpError("division by zero")
         if isinstance(left, int) and isinstance(right, int):
             quotient = left / right
             return int(quotient) if float(quotient).is_integer() else quotient
         return left / right
-    if op is Opcode.MOD:
+    if op is _MOD:
         if right == 0:
             raise InterpError("mod by zero")
         return left % right
-    if op is Opcode.POW:
+    if op is _POW:
         if (
             isinstance(left, int)
             and isinstance(right, int)
@@ -349,24 +381,24 @@ def _apply_binary(op: Opcode, left: Number, right: Number) -> Number:
 
 
 def _apply_unary(op: Opcode, value: Number) -> Number:
-    if op is Opcode.NEG:
+    if op is _NEG:
         return -value
-    if op is Opcode.ABS:
+    if op is _ABS:
         return abs(value)
-    if op is Opcode.SQRT:
+    if op is _SQRT:
         if value < 0:
             raise InterpError("sqrt of negative value")
         return math.sqrt(value)
-    if op is Opcode.SIN:
+    if op is _SIN:
         return math.sin(value)
-    if op is Opcode.COS:
+    if op is _COS:
         return math.cos(value)
-    if op is Opcode.EXP:
+    if op is _EXP:
         try:
             return math.exp(value)
         except OverflowError:
             raise InterpError(f"exp overflow: exp({value})") from None
-    if op is Opcode.LOG:
+    if op is _LOG:
         if value <= 0:
             raise InterpError("log of non-positive value")
         return math.log(value)

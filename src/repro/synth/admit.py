@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.analysis.manager import AnalysisManager
+from repro.analysis.manager import AnalysisCache
 from repro.frontend.unparse import unparse_program
 from repro.genesis.generator import generate_optimizer
 from repro.genesis.driver import DriverOptions, run_optimizer
@@ -179,7 +179,10 @@ class AdmissionPipeline:
 
     ``out_dir`` receives counterexample repro files and the refuted
     candidate's GOSpeL source; when None, rejection is still reported
-    but nothing is persisted.
+    but nothing is persisted.  Every program a gate runs is cloned
+    through ``cache`` (a fresh :class:`AnalysisCache` when None), so
+    candidates screened on the same corpus share its first dependence
+    builds.
     """
 
     def __init__(
@@ -194,6 +197,7 @@ class AdmissionPipeline:
         max_shrink_attempts: int = 300,
         programs: int = 6,
         program_size: int = 12,
+        cache: Optional[AnalysisCache] = None,
     ) -> None:
         if corpus is None:
             corpus = audit_programs() + [
@@ -207,6 +211,7 @@ class AdmissionPipeline:
         self.matcher_gate = matcher_gate
         self.compare_stores = compare_stores
         self.max_shrink_attempts = max_shrink_attempts
+        self.cache = cache if cache is not None else AnalysisCache()
 
     # ------------------------------------------------------------------
     def evaluate(self, candidate) -> AdmissionReport:
@@ -293,9 +298,11 @@ class AdmissionPipeline:
         None after recording the failure."""
         results = []
         for program in corpus:
-            working = program.clone()
+            working, manager = self.cache.clone(program)
             try:
-                outcome = run_optimizer(optimizer, working, SCREEN_OPTIONS)
+                outcome = run_optimizer(
+                    optimizer, working, SCREEN_OPTIONS, manager=manager
+                )
             except Exception as exc:  # codegen'd spec misbehaving
                 report.gates.append(
                     GateResult("legality", False, f"driver error: {exc}")
@@ -343,8 +350,7 @@ class AdmissionPipeline:
         return True
 
     def _matcher_gate(self, name, optimizer, program, report) -> bool:
-        working = program.clone()
-        manager = AnalysisManager(working)
+        working, manager = self.cache.clone(program)
         try:
             # attach a shadow-checking engine; the driver's engine_for
             # call then finds it on the manager
@@ -375,9 +381,11 @@ class AdmissionPipeline:
         generator = EnvironmentGenerator(self.seed)
 
         def predicate(program: Program) -> bool:
-            working = program.clone()
+            working, manager = self.cache.clone(program)
             try:
-                outcome = run_optimizer(optimizer, working, SCREEN_OPTIONS)
+                outcome = run_optimizer(
+                    optimizer, working, SCREEN_OPTIONS, manager=manager
+                )
             except Exception:
                 return False
             if not outcome.applied or outcome.failures:

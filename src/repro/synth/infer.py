@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.analysis.manager import AnalysisCache
 from repro.genesis.generator import GeneratedOptimizer, generate_optimizer
 from repro.genesis.matching import spec_fingerprint
 from repro.opts.catalog import build_optimizer
@@ -151,11 +152,18 @@ def run_inference(
     config: Optional[InferenceConfig] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> InferenceResult:
-    """Mine, generalize, and admit — one full inference run."""
+    """Mine, generalize, and admit — one full inference run.
+
+    Trace mining and admission clone their programs through one
+    :class:`AnalysisCache`, made for this run and dropped with it, so
+    each distinct program is analysed once however many candidates
+    run on it.
+    """
     config = config or InferenceConfig()
     say = progress or (lambda _message: None)
     started = time.perf_counter()
     result = InferenceResult()
+    cache = AnalysisCache()
 
     # ------------------------------------------------------------- mine
     windows: list[RewriteWindow] = []
@@ -170,7 +178,7 @@ def run_inference(
             build_optimizer(name) for name in config.trace_opts
         ]
         for window in mine_fuzz_corpus(
-            trace_optimizers, programs=config.trace_programs
+            trace_optimizers, programs=config.trace_programs, cache=cache
         ):
             if window.key() not in seen_keys:
                 seen_keys.add(window.key())
@@ -190,6 +198,7 @@ def run_inference(
         matcher_gate=config.matcher_gate,
         programs=config.corpus_programs,
         program_size=config.corpus_size,
+        cache=cache,
     )
     shipped = catalog_fingerprints()
     admitted_fingerprints: dict[str, str] = {}

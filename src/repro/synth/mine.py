@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
+from repro.analysis.manager import AnalysisCache
 from repro.genesis.driver import DriverOptions, run_optimizer
 from repro.ir.builder import IRBuilder
 from repro.ir.program import Program
@@ -368,6 +369,8 @@ def mine_traces(
     programs: Iterable[Program],
     optimizers: Sequence,
     max_window: int = MAX_WINDOW,
+    *,
+    cache: Optional[AnalysisCache] = None,
 ) -> list[RewriteWindow]:
     """Windows from single catalog-optimizer applications.
 
@@ -376,13 +379,19 @@ def mine_traces(
     application.  Statement-local transformations (STR, ALG, DCE …)
     produce generalizable windows; region transformations diff too
     wide and are dropped by the window cap — that skip is reported by
-    the harness, not silent.
+    the harness, not silent.  Programs are cloned through ``cache`` (a
+    fresh one when None), so every optimizer after the first takes
+    over a program's first dependence build.
     """
+    if cache is None:
+        cache = AnalysisCache()
     pairs: list[RewritePair] = []
     for program in programs:
         for optimizer in optimizers:
-            work = program.clone()
-            result = run_optimizer(optimizer, work, _TRACE_OPTIONS)
+            work, manager = cache.clone(program)
+            result = run_optimizer(
+                optimizer, work, _TRACE_OPTIONS, manager=manager
+            )
             if not result.applied:
                 continue
             pairs.append(
@@ -401,6 +410,8 @@ def mine_fuzz_corpus(
     programs: int = 4,
     size: int = 12,
     max_window: int = MAX_WINDOW,
+    *,
+    cache: Optional[AnalysisCache] = None,
 ) -> list[RewriteWindow]:
     """Trace mining over the fuzz campaign's seeded program stream.
 
@@ -412,4 +423,4 @@ def mine_fuzz_corpus(
         random_program(config.program_seed(index), size=size)
         for index in range(programs)
     ]
-    return mine_traces(corpus, optimizers, max_window=max_window)
+    return mine_traces(corpus, optimizers, max_window=max_window, cache=cache)

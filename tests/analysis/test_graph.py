@@ -35,6 +35,31 @@ class TestContainer:
         assert "flow" in text and "(<)" in text
 
 
+class TestEdgeHash:
+    def test_equal_edges_hash_equal(self):
+        first, second = edge(vector=("<",)), edge(vector=("<",))
+        hash(first)  # one cached, one not: the cache takes no part
+        assert first == second and hash(first) == hash(second)
+        assert edge() != edge(dst_pos="b")
+        assert len({first, second, edge(dst=3)}) == 2
+
+    def test_hash_computed_once(self):
+        one = edge()
+        assert one._hash is None
+        value = hash(one)
+        assert one._hash == value
+        # a second hash reads the cache instead of recomputing
+        object.__setattr__(one, "_hash", value + 1)
+        assert hash(one) == value + 1
+
+    def test_slotted(self):
+        one = edge()
+        assert not hasattr(one, "__dict__")
+        assert "_hash" not in repr(one)
+        with pytest.raises(AttributeError):
+            one.src = 5
+
+
 class TestQueries:
     def graph(self):
         return DependenceGraph([

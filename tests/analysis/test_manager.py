@@ -3,25 +3,29 @@
 Covers the generic product cache, the change-log plumbing on
 ``Program``, the incremental dependence splice (against full rebuilds),
 the full-rebuild fallbacks, the shadow-check debug mode (graph and
-name index) and the stats counters.
+name index), the stats counters, and the campaign cache that shares
+first builds between clones of one content.
 """
 
 import pytest
 
+import repro.analysis.manager as manager_module
 from repro.analysis.dependence import DependenceAnalyzer, compute_dependences
+from repro.analysis.graph import DependenceGraph
 from repro.analysis.manager import (
+    AnalysisCache,
     AnalysisManager,
     IncrementalMismatchError,
     manager_for,
 )
-from repro.genesis.driver import DriverOptions
+from repro.genesis.driver import DriverOptions, run_optimizer
 from repro.genesis.pipeline import optimize
 from repro.ir.builder import IRBuilder
 from repro.ir.program import Program
 from repro.ir.quad import Opcode, Quad
 from repro.ir.types import Const, Var
 from repro.opts.catalog import standard_optimizers
-from repro.workloads.suite import workload
+from repro.workloads.suite import full_suite, workload
 from repro.workloads.synthetic import random_program
 
 #: The benchmarked ten-pass scalar pipeline.
@@ -399,3 +403,164 @@ class TestManagerFor:
         assert snapshot["full_rebuilds"] == 1
         assert "dependences" in snapshot["misses"]
         assert "rebuild" in manager.stats.summary()
+
+
+# ----------------------------------------------------------------------
+# first builds shared through a campaign cache
+# ----------------------------------------------------------------------
+def cache_programs() -> list[Program]:
+    return [item.load() for item in full_suite()] + [
+        random_program(seed, size=24) for seed in range(4)
+    ]
+
+
+def shifted(program: Program, by: int = 100) -> Program:
+    """The same content with every qid moved up by ``by``."""
+    quads = []
+    for quad in program:
+        duplicate = quad.copy()
+        duplicate.qid = quad.qid + by
+        quads.append(duplicate)
+    return Program(quads, name=program.name)
+
+
+def first_build_state(manager: AnalysisManager) -> tuple:
+    """Everything a first build leaves behind, in comparable form."""
+    graph = manager.graph()
+    index = {name: qids for name, qids in manager._name_index.items() if qids}
+    return graph.edges, graph.notes, index, manager._quad_infos
+
+
+class TestAnalysisCache:
+    @pytest.mark.parametrize(
+        "program", cache_programs(), ids=lambda program: program.name
+    )
+    def test_adopted_first_build_equals_a_fresh_one(self, program):
+        cache = AnalysisCache()
+        _first, builder = cache.clone(program)
+        built = builder.graph()
+        working, adopter = cache.clone(program)
+        fresh = AnalysisManager(program.clone())
+        assert first_build_state(adopter) == first_build_state(fresh)
+        assert adopter.graph() is built
+        assert adopter.stats.adopted == 1
+        assert builder.stats.adopted == fresh.stats.adopted == 0
+        # the snapshot and index are the adopter's own, not the entry's
+        assert adopter._quad_infos is not builder._quad_infos
+        assert adopter._name_index is not builder._name_index
+
+        # the same passes leave byte-identical programs and equal graphs
+        optimizers = standard_optimizers(("CTP", "DCE"))
+        options = DriverOptions(apply_all=True)
+        for name in ("CTP", "DCE"):
+            run_optimizer(optimizers[name], working, options, manager=adopter)
+            run_optimizer(
+                optimizers[name], fresh.program, options, manager=fresh
+            )
+        assert working.qids() == fresh.program.qids()
+        assert [str(q) for q in working] == [str(q) for q in fresh.program]
+        assert first_build_state(adopter) == first_build_state(fresh)
+        # the adopter's refreshes wrote nothing the entry holds
+        _third, late = cache.clone(program)
+        assert late.graph() is built
+        assert first_build_state(late) == first_build_state(
+            AnalysisManager(program.clone())
+        )
+
+    def test_shifted_qids_miss(self):
+        cache = AnalysisCache()
+        program = loopy()
+        cache.clone(program)[1].graph()
+        _working, manager = cache.clone(shifted(program))
+        manager.graph()
+        assert manager.stats.adopted == 0
+        assert manager.stats.full_rebuilds == 1
+        assert len(cache._entries) == 2
+
+    def test_source_mutated_after_storing_misses(self):
+        cache = AnalysisCache()
+        program = straight_line()
+        cache.clone(program)[1].graph()
+        qid = program[1].qid
+        program.replace(qid, Quad(Opcode.ASSIGN, result=Var("y"),
+                                  a=Const(7)))
+        working, manager = cache.clone(program)
+        assert manager.graph().edge_set() == (
+            compute_dependences(working).edge_set()
+        )
+        assert manager.stats.adopted == 0
+        assert manager.stats.full_rebuilds == 1
+
+    def test_clone_mutated_before_first_graph_misses(self):
+        cache = AnalysisCache()
+        program = straight_line()
+        cache.clone(program)[1].graph()
+        working, manager = cache.clone(program)
+        working.insert_at(1, Quad(Opcode.ASSIGN, result=Var("w"),
+                                  a=Var("x")))
+        assert_matches_full(manager)
+        assert manager.stats.adopted == 0
+        assert manager.stats.full_rebuilds == 1
+        # a mutated clone publishes nothing under its source's key
+        assert len(cache._entries) == 1
+
+    def test_lru_drops_the_oldest_entry(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "_FIRST_BUILD_CAP", 2)
+        cache = AnalysisCache()
+        first, second, third = (
+            random_program(seed, size=12) for seed in range(3)
+        )
+        for program in (first, second):
+            cache.clone(program)[1].graph()
+        cache.clone(first)[1].graph()  # a hit: ``first`` is now newest
+        cache.clone(third)[1].graph()  # evicts ``second``
+        assert len(cache._entries) == 2
+        adopted = {}
+        # the miss goes last: it stores ``second`` and evicts again
+        for label, program in (("first", first), ("third", third),
+                               ("second", second)):
+            _working, manager = cache.clone(program)
+            manager.graph()
+            adopted[label] = manager.stats.adopted
+        assert adopted == {"first": 1, "second": 0, "third": 1}
+
+    def test_adopted_graph_is_reference_checked(self):
+        cache = AnalysisCache()
+        program = loopy()
+        cache.clone(program)[1].graph()
+        _working, manager = cache.clone(program)
+        manager.full_check = True
+        manager.graph()
+        assert manager.stats.adopted == manager.stats.shadow_checks == 1
+
+    def test_corrupted_entry_raises(self):
+        cache = AnalysisCache()
+        program = loopy()
+        cache.clone(program)[1].graph()
+        (key, entry), = cache._entries.items()
+        corrupted = DependenceGraph(entry.graph.edges[1:])
+        cache._entries[key] = manager_module._FirstBuild(
+            corrupted, entry.quad_infos
+        )
+        _working, manager = cache.clone(program)
+        manager.full_check = True
+        with pytest.raises(IncrementalMismatchError, match="adopted"):
+            manager.graph()
+
+    def test_adoption_counts_as_no_build(self):
+        cache = AnalysisCache()
+        program = loopy()
+        cache.clone(program)[1].graph()
+        working, manager = cache.clone(program)
+        manager.graph()
+        stats = manager.stats
+        assert (stats.adopted, stats.full_rebuilds,
+                stats.incremental_updates) == (1, 0, 0)
+        assert stats.misses["dependences"] == 1
+        assert stats.as_dict()["adopted"] == 1
+        assert "1 first build(s) adopted" in stats.summary()
+        # later refreshes are the manager's own
+        qid = working[0].qid
+        working.touch(qid, working.preimage(qid))
+        assert_matches_full(manager)
+        assert stats.incremental_updates == 1

@@ -10,6 +10,23 @@ from repro.ir.interp import (
 )
 from repro.ir.quad import Opcode, Quad
 from repro.ir.types import Const, Var
+from repro.workloads.suite import run_workload, workload
+
+
+#: (steps, "OPCODE:count ..." in key order) of every suite program run
+#: on its inputs
+SUITE_COUNTS = {
+    "newton": (184, "ASSIGN:15 READ:1 DO:1 MUL:60 SUB:60 DIV:12 ABS:12 IF:12 WRITE:11"),
+    "fft": (192, "ASSIGN:18 MUL:41 DIV:9 DO:4 READ:16 COS:8 SIN:8 SUB:32 ADD:24 WRITE:32"),
+    "gauss": (277, "ASSIGN:7 DO:31 READ:42 SUB:86 ADD:5 DIV:15 MUL:85 WRITE:6"),
+    "track": (558, "ASSIGN:24 READ:1 DO:11 ADD:110 SUB:160 MUL:250 WRITE:2"),
+    "jacobian": (1145, "ASSIGN:2 DO:93 READ:8 MUL:640 SUB:136 ADD:192 DIV:64 WRITE:10"),
+    "solve": (120, "ASSIGN:13 DO:17 READ:42 SUB:21 DIV:6 MUL:15 WRITE:6"),
+    "poly": (167, "ASSIGN:26 DO:16 READ:17 MUL:48 ADD:48 WRITE:12"),
+    "integrate": (71, "ASSIGN:4 SUB:12 DIV:2 DO:1 MUL:21 ADD:20 EXP:10 WRITE:1"),
+    "tridiag": (92, "ASSIGN:18 DO:6 READ:16 DIV:16 MUL:14 SUB:14 WRITE:8"),
+    "ordering": (145, "ASSIGN:11 DO:19 ADD:100 MUL:10 WRITE:5"),
+}
 
 
 class TestArithmetic:
@@ -241,6 +258,40 @@ class TestStateAndLimits:
             b.binary("x", "i", "*", 2)
         counts = run_program(b.build()).opcode_counts
         assert counts[Opcode.MUL] == 3
+
+    def test_opcode_counts_keep_first_execution_order(self):
+        """The ELSE branch runs first, the THEN branch (earlier in the
+        program) only on the second trip: keys follow execution."""
+        b = IRBuilder()
+        with b.loop("i", 1, 2):
+            with b.if_else("i", ">=", 2) as (_guard, orelse):
+                b.binary("x", "i", "*", 2)
+                orelse.begin()
+                b.binary("y", "i", "+", 1)
+        counts = run_program(b.build()).opcode_counts
+        assert list(counts.items()) == [
+            (Opcode.DO, 1), (Opcode.IF, 2), (Opcode.ADD, 1), (Opcode.MUL, 1),
+        ]
+
+    @pytest.mark.parametrize("name", sorted(SUITE_COUNTS))
+    def test_suite_steps_and_counts_pinned(self, name):
+        """Steps and ordered opcode counts of each suite program, as the
+        per-step Counter of earlier interpreters reported them."""
+        steps, rendered = SUITE_COUNTS[name]
+        result = run_workload(workload(name))
+        assert result.steps == steps
+        assert " ".join(
+            f"{op.name}:{n}" for op, n in result.opcode_counts.items()
+        ) == rendered
+
+    def test_step_budget_fires_at_the_same_step(self):
+        item = workload("newton")
+        steps = SUITE_COUNTS["newton"][0]
+        assert run_program(item.load(), inputs=item.inputs,
+                           max_steps=steps).steps == steps
+        with pytest.raises(InterpError, match=rf"exceeded \({steps - 1}\)"):
+            run_program(item.load(), inputs=item.inputs,
+                        max_steps=steps - 1)
 
     def test_observable_rounds_floats(self):
         b1 = IRBuilder()

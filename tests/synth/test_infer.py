@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.manager import AnalysisManager
+from repro.analysis.manager import AnalysisCache, AnalysisManager
 from repro.genesis.driver import DriverOptions, run_optimizer
 from repro.genesis.matching import engine_for, spec_fingerprint
 from repro.ir.interp import same_behaviour
@@ -102,6 +102,37 @@ def test_admitted_specs_preserve_semantics(result):
                 DriverOptions(apply_all=True, max_applications=16),
             )
             assert same_behaviour(program, transformed), spec.name
+
+
+def test_output_does_not_depend_on_the_analysis_cache(monkeypatch):
+    """Mining and admission share first dependence builds through one
+    cache per run; a run whose every lookup misses decides the same."""
+    config = InferenceConfig(seed=0, pairs=9, trace_programs=2)
+    lookup = AnalysisCache._lookup
+    taken_over = []
+
+    def counting(self, key):
+        entry = lookup(self, key)
+        if entry is not None:
+            taken_over.append(key)
+        return entry
+
+    def decisions(result):
+        return (
+            [(spec.name, spec.source, spec.fingerprint, spec.applications)
+             for spec in result.admitted],
+            [(report.name, report.rung,
+              [(gate.gate, gate.ok, gate.detail) for gate in report.gates])
+             for report in result.rejections],
+            result.screened,
+        )
+
+    monkeypatch.setattr(AnalysisCache, "_lookup", counting)
+    shipped = run_inference(config)
+    monkeypatch.setattr(AnalysisCache, "_lookup", lambda self, key: None)
+    missing = run_inference(config)
+    assert taken_over
+    assert decisions(shipped) == decisions(missing)
 
 
 # ----------------------------------------------------------------------
