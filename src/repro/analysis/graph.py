@@ -8,6 +8,9 @@ loop).  Generated optimizer code queries the graph through
 :meth:`DependenceGraph.query`, which implements GOSpeL's
 ``type_of_dependence(Si, Sj, direction)`` conditions including ``*`` /
 ``any`` wildcard matching.
+
+The analysis manager that owns a graph edits it in place at every
+incremental refresh (:meth:`DependenceGraph.spliced`).
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ class DepEdge:
     )
 
     def __hash__(self) -> int:
-        # edges survive across incremental graph splices and are
-        # re-inserted into each new graph's dedup set; caching the
-        # field-tuple hash makes re-insertion O(1) per edge
+        # an edge is hashed at every graph membership test (the edge
+        # dict, the splice's bucket filters, the refresh's delta set);
+        # caching the field-tuple hash makes each O(1)
         cached = self._hash
         if cached is None:
             cached = hash((
@@ -62,94 +65,70 @@ class DepEdge:
 
 
 class DependenceGraph:
-    """All dependences of one program version, indexed for queries."""
+    """All dependences of one program version, indexed for queries.
+
+    Edges live in one insertion-ordered dict, which answers membership
+    and keeps the order they were added in.  Every ``_by_src``/
+    ``_by_dst`` bucket lists its edges in that order.  Only the
+    :class:`repro.analysis.manager.AnalysisManager` that owns a graph
+    edits it after it is built (:meth:`spliced`); everyone else reads.
+    """
 
     def __init__(self, edges: Sequence[DepEdge] = ()):
-        self.edges: list[DepEdge] = []
+        self._edges: dict[DepEdge, None] = {}
         #: structured analysis diagnostics (e.g. direction-vector
         #: expansion hitting the MAX_VECTORS_PER_PAIR safety valve)
         self.notes: list[str] = []
         self._by_src: dict[tuple[str, int], list[DepEdge]] = {}
         self._by_dst: dict[tuple[str, int], list[DepEdge]] = {}
-        self._seen: set[DepEdge] = set()
         for edge in edges:
             self.add(edge)
 
+    @property
+    def edges(self) -> list[DepEdge]:
+        """The edges in insertion order (a fresh list)."""
+        return list(self._edges)
+
     def add(self, edge: DepEdge) -> None:
         """Insert an edge (duplicates are ignored)."""
-        if edge in self._seen:
+        if edge in self._edges:
             return
-        self._seen.add(edge)
-        self.edges.append(edge)
+        self._edges[edge] = None
         self._by_src.setdefault((edge.kind, edge.src), []).append(edge)
         self._by_dst.setdefault((edge.kind, edge.dst), []).append(edge)
 
-    @classmethod
     def spliced(
-        cls,
-        old: "DependenceGraph",
-        kept: list[DepEdge],
-        removed: Sequence[DepEdge],
-        fresh: Sequence[DepEdge],
-    ) -> "DependenceGraph":
-        """A new graph holding ``kept`` plus the ``fresh`` edges — the
-        analysis manager's incremental splice.
+        self, removed: Sequence[DepEdge], fresh: Sequence[DepEdge]
+    ) -> None:
+        """Replace ``removed`` by ``fresh``, in place — the analysis
+        manager's incremental splice.
 
-        ``kept`` and ``removed`` partition ``old.edges``, with ``kept``
-        in ``old``'s order; the new graph adopts the ``kept`` list as
-        its own edge list.  Retained edges were already unique inside
-        ``old``, so they skip :meth:`add`'s per-edge dedup, and the
-        src/dst indexes are copied at the *key* level — only buckets
-        that lost an edge are filtered, every other bucket list is
-        shared with ``old`` (graphs are immutable once published; the
-        only writer is this constructor, which copies a shared bucket
-        before appending to it).  ``fresh`` edges still go through the
-        dedup set, so a partition that fails to drop a recomputed edge
-        degrades to a duplicate-ignore, not a corrupt graph.
+        ``removed`` are distinct edges of this graph.  The kept edges
+        keep their order and the ``fresh`` ones follow it; each bucket
+        that lost an edge is filtered in order, so every bucket still
+        lists its edges in edge order.  ``fresh`` edges go through
+        :meth:`add`, so one that is already kept is ignored.
         """
-        graph = cls()
-        graph.notes = list(old.notes)
-        edges = graph.edges = kept
-        graph._seen = old._seen.difference(removed)
-        by_src = dict(old._by_src)
-        by_dst = dict(old._by_dst)
-        graph._by_src = by_src
-        graph._by_dst = by_dst
-        # buckets this graph owns (safe to mutate in place)
-        owned_src: set[tuple[str, int]] = set()
-        owned_dst: set[tuple[str, int]] = set()
-        if removed:
-            gone = set(removed)
-            for index, owned, end in (
-                (by_src, owned_src, "src"),
-                (by_dst, owned_dst, "dst"),
-            ):
-                dirty = {(e.kind, getattr(e, end)) for e in removed}
-                for key in dirty:
-                    bucket = [e for e in index[key] if e not in gone]
-                    if bucket:
-                        index[key] = bucket
-                        owned.add(key)
-                    else:
-                        del index[key]
+        edges = self._edges
+        for edge in removed:
+            del edges[edge]
+        for index, end in ((self._by_src, "src"), (self._by_dst, "dst")):
+            for key in {(edge.kind, getattr(edge, end)) for edge in removed}:
+                bucket = [edge for edge in index[key] if edge in edges]
+                if bucket:
+                    index[key] = bucket
+                else:
+                    del index[key]
         for edge in fresh:
-            if edge in graph._seen:
-                continue
-            graph._seen.add(edge)
-            edges.append(edge)
-            for index, owned, key in (
-                (by_src, owned_src, (edge.kind, edge.src)),
-                (by_dst, owned_dst, (edge.kind, edge.dst)),
-            ):
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [edge]
-                    owned.add(key)
-                elif key in owned:
-                    bucket.append(edge)
-                else:  # shared with ``old``: copy before writing
-                    index[key] = bucket + [edge]
-                    owned.add(key)
+            self.add(edge)
+
+    def copy(self) -> "DependenceGraph":
+        """An independent graph with the same edges, order and notes."""
+        graph = DependenceGraph()
+        graph._edges = dict(self._edges)
+        graph.notes = list(self.notes)
+        graph._by_src = {key: list(b) for key, b in self._by_src.items()}
+        graph._by_dst = {key: list(b) for key, b in self._by_dst.items()}
         return graph
 
     def add_note(self, note: str) -> None:
@@ -159,13 +138,13 @@ class DependenceGraph:
 
     def edge_set(self) -> frozenset[DepEdge]:
         """The edges as a set — the graph's comparable identity."""
-        return frozenset(self._seen)
+        return frozenset(self._edges)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self._edges)
 
     def __iter__(self) -> Iterator[DepEdge]:
-        return iter(self.edges)
+        return iter(self._edges)
 
     # ------------------------------------------------------------------
     # queries
@@ -195,7 +174,7 @@ class DependenceGraph:
         elif dst is not None:
             candidates = self._by_dst.get((kind, dst), [])
         else:
-            candidates = [e for e in self.edges if e.kind == kind]
+            candidates = [e for e in self._edges if e.kind == kind]
         return [
             edge
             for edge in candidates
@@ -233,8 +212,8 @@ class DependenceGraph:
     def count(self, kind: Optional[str] = None) -> int:
         """Total number of edges, optionally of one kind."""
         if kind is None:
-            return len(self.edges)
-        return sum(1 for edge in self.edges if edge.kind == kind)
+            return len(self._edges)
+        return sum(1 for edge in self._edges if edge.kind == kind)
 
     def summary(self) -> dict[str, int]:
         """Edge counts per kind, for reports."""

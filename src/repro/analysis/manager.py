@@ -6,10 +6,9 @@ analysis the dominant cost of multi-pass pipelines.  The
 :class:`AnalysisManager` removes both kinds of waste:
 
 * **Version-keyed caching** — every analysis product (CFG, structure
-  table, dominators, reaching definitions, liveness, control
-  dependences, the :class:`DependenceGraph`) is cached against
-  :attr:`repro.ir.program.Program.version` and reused until the
-  program actually mutates.
+  table, reaching definitions, liveness, the :class:`DependenceGraph`)
+  is cached against :attr:`repro.ir.program.Program.version` and
+  reused until the program actually mutates.
 
 * **Incremental dependence recomputation** — the primitive
   transformations (delete / copy / move / add / modify, the paper's
@@ -18,18 +17,19 @@ analysis the dominant cost of multi-pass pipelines.  The
   of variable and array names it reads or writes, drops only the edges
   involving those names (plus control edges into touched statements),
   re-runs a *name-restricted* :class:`DependenceAnalyzer`, and splices
-  the fresh edges into the retained graph.  A ``name -> qids`` index
-  scopes that analyzer to the quads mentioning an affected name, so a
-  refresh costs what the edit touched rather than what the program
-  holds (the structure table and the edge partition stay O(n)).  One
-  subscript-test memo, keyed by values only, serves every analyzer the
-  manager builds, across versions.
+  the fresh edges into its one graph, in place.  A touched quad's old
+  names are its change-log pre-image's.  A ``name -> qids`` index
+  scopes that analyzer, and the edges to drop, to the quads
+  mentioning an affected name, so a refresh costs what the edit
+  touched rather than what the program holds (the structure table
+  stays O(n)).  One subscript-test memo, keyed by values only, serves
+  every analyzer the manager builds, across versions.
 
 * **Shared first builds** — an :class:`AnalysisCache` hands out clones
   with their managers; the first build of a clone takes over the
-  graph of an earlier clone with the same content and qids, so a
-  campaign that clones one corpus per candidate analyses each program
-  once.
+  graph of an earlier clone with the same content and qids (copied
+  before its first in-place edit), so a campaign that clones one
+  corpus per candidate analyses each program once.
 
 Why the splice is exact, not approximate: scalar dependences are
 solved with per-variable gen/kill bit masks, so the dataflow solution
@@ -50,9 +50,9 @@ to compare every full rebuild and every first build taken over, edge
 for edge in order and notes included, and every incremental update, as
 an edge set, with the
 all-pairs reference (:class:`AllPairsAnalyzer`, with its own structure
-table and memo), and to compare the maintained name index with a fresh
-scan — the debug mode the property tests and CI use to prove the paths
-agree.
+table and memo), and to compare the spliced graph's query buckets and
+the maintained name index with fresh ones — the debug mode the
+property tests and CI use to prove the paths agree.
 """
 
 from __future__ import annotations
@@ -64,14 +64,12 @@ from itertools import zip_longest
 from typing import Callable, Optional, TypeVar
 
 from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.control_dep import ControlDependence, compute_control_deps
 from repro.analysis.dependence import (
     AllPairsAnalyzer,
     DependenceAnalyzer,
     PairTestMemo,
 )
-from repro.analysis.dominators import DominatorTree, compute_dominators
-from repro.analysis.graph import DepEdge, DependenceGraph
+from repro.analysis.graph import DependenceGraph
 from repro.analysis.liveness import Liveness, compute_liveness
 from repro.analysis.reaching import ReachingDefinitions, compute_reaching
 from repro.ir.loops import StructureTable
@@ -83,8 +81,8 @@ ENV_FULL_CHECK = "REPRO_ANALYSIS_CHECK"
 
 #: Above this many affected names a full rebuild is assumed cheaper
 #: than a restricted one: the scope then spans most of the program,
-#: and the restricted path adds the O(E) edge partition and the index
-#: upkeep on top of the analysis a rebuild would run anyway.
+#: and the restricted path adds the edge drop and the index upkeep on
+#: top of the analysis a rebuild would run anyway.
 _INCREMENTAL_NAME_CAP = 48
 
 #: Above this many pending changes, batching has lost its locality and
@@ -107,6 +105,12 @@ T = TypeVar("T")
 #: An :class:`AnalysisCache` key: a program's fingerprint and its qids
 #: in order (the fingerprint leaves qids out, the graph names them).
 _ContentKey = tuple[str, tuple[int, ...]]
+
+#: name -> qids of the quads that mention it
+_NameIndex = dict[str, set[int]]
+
+#: touched qid -> (its names at the graph's version, its names now)
+_Renames = dict[int, tuple[frozenset[str], frozenset[str]]]
 
 
 class IncrementalMismatchError(AssertionError):
@@ -164,16 +168,11 @@ class AnalysisStats:
         )
 
 
-@dataclass(frozen=True)
-class _QuadInfo:
-    """Snapshot of a quad's analysis-relevant identity."""
-
-    is_marker: bool
-    names: frozenset[str]
-
-
-def _quad_names(quad: Quad) -> frozenset[str]:
-    """Every scalar/array name whose dependences can touch this quad."""
+def _quad_names(quad: Optional[Quad]) -> frozenset[str]:
+    """Every scalar/array name whose dependences can touch this quad
+    (none for an absent quad)."""
+    if quad is None:
+        return frozenset()
     names: set[str] = set(quad.used_scalar_names())
     defined = quad.defined_scalar()
     if defined is not None:
@@ -186,27 +185,25 @@ def _quad_names(quad: Quad) -> frozenset[str]:
     return frozenset(names)
 
 
-def _quad_info(quad: Quad) -> _QuadInfo:
-    return _QuadInfo(
-        is_marker=quad.opcode in STRUCTURAL_OPS, names=_quad_names(quad)
-    )
-
-
-def _name_index(infos: dict[int, _QuadInfo]) -> dict[str, set[int]]:
-    """name -> qids of the quads whose snapshot names it."""
-    index: dict[str, set[int]] = {}
-    for qid, info in infos.items():
-        for name in info.names:
-            index.setdefault(name, set()).add(qid)
+def _scan_names(program: Program) -> _NameIndex:
+    """The name index of a program, from a scan of every quad."""
+    index: _NameIndex = {}
+    for quad in program:
+        for name in _quad_names(quad):
+            index.setdefault(name, set()).add(quad.qid)
     return index
+
+
+def _copy_index(index: _NameIndex) -> _NameIndex:
+    return {name: set(qids) for name, qids in index.items()}
 
 
 @dataclass(frozen=True)
 class _FirstBuild:
-    """One published first build: the graph and its quad snapshot."""
+    """One published first build: the graph and its name index."""
 
     graph: DependenceGraph
-    quad_infos: dict[int, _QuadInfo]
+    name_index: _NameIndex
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,7 @@ class AnalysisManager:
     One manager serves one program object for its whole lifetime; all
     products are invalidated automatically by the program's version
     counter, and the dependence graph is additionally maintained
-    *incrementally* from the program's change log.
+    *incrementally*, in place, from the program's change log.
     """
 
     def __init__(
@@ -244,12 +241,15 @@ class AnalysisManager:
         self.incremental = incremental
         self.stats = AnalysisStats()
         self._products: dict[str, tuple[int, object]] = {}
+        #: the one graph, edited in place by every incremental refresh
         self._graph: Optional[DependenceGraph] = None
         self._graph_version = -1
-        self._quad_infos: dict[int, _QuadInfo] = {}
-        #: name -> qids of the quads whose ``_QuadInfo.names`` hold it;
-        #: kept in step with ``_quad_infos`` (entries may go empty)
-        self._name_index: dict[str, set[int]] = {}
+        #: set while an :class:`AnalysisCache` entry holds ``_graph``
+        #: too: the next refresh edits a copy
+        self._graph_shared = False
+        #: name -> qids of the quads that mention it at
+        #: ``_graph_version`` (entries may go empty)
+        self._name_index: _NameIndex = {}
         #: the subscript-test memo every analyzer built here shares; it
         #: holds values only, so it survives versions and ``invalidate``
         self._pair_memo = PairTestMemo()
@@ -286,10 +286,6 @@ class AnalysisManager:
         """The loop/conditional structure table."""
         return self._cached("structure", lambda: StructureTable(self.program))
 
-    def dominators(self) -> DominatorTree:
-        """The dominator tree over the current CFG."""
-        return self._cached("dominators", lambda: compute_dominators(self.cfg()))
-
     def reaching(self) -> ReachingDefinitions:
         """Reaching definitions (full and acyclic)."""
         return self._cached(
@@ -302,13 +298,6 @@ class AnalysisManager:
             "liveness", lambda: compute_liveness(self.program, self.cfg())
         )
 
-    def control_deps(self) -> ControlDependence:
-        """Control dependences from the structure table."""
-        return self._cached(
-            "control_deps",
-            lambda: compute_control_deps(self.program, self.structure()),
-        )
-
     # ------------------------------------------------------------------
     # the dependence graph (incremental)
     # ------------------------------------------------------------------
@@ -317,9 +306,11 @@ class AnalysisManager:
 
         Cache hit when the version is unchanged; otherwise an
         incremental splice when the change log localizes the mutations,
-        or a full rebuild when it cannot.  A first build of a program
-        cloned through an :class:`AnalysisCache` is taken over from an
-        earlier clone of the same content when there is one.
+        or a full rebuild when it cannot.  A splice edits the graph
+        returned last in place; a rebuild returns a new one.  A first
+        build of a program cloned through an :class:`AnalysisCache` is
+        taken over from an earlier clone of the same content when there
+        is one.
         """
         version = self.program.version
         if self._graph is not None and self._graph_version == version:
@@ -348,46 +339,52 @@ class AnalysisManager:
                     (edge.kind, edge.src, edge.dst) for edge in diff
                 )
         else:
-            graph, delta = self._incremental_update(*plan)
-            if self.full_check:
-                self._shadow_check(graph)
-            # only after the splice: a refresh that raised above must
-            # not leave the snapshot ahead of the graph version
-            self._snapshot_quads(touched=plan[1])
-            if self.full_check:
-                self._check_index()
+            try:
+                graph, delta = self._incremental_update(*plan)
+                if self.full_check:
+                    self._shadow_check(graph)
+                    self._check_index()
+            except BaseException:
+                # the graph and the index may be half edited
+                self.invalidate()
+                raise
         self._graph = graph
         self._graph_version = self.program.version
         self._record_delta(old_version, self._graph_version, delta)
         return graph
 
+    def last_graph(self) -> Optional[DependenceGraph]:
+        """The graph as of the last refresh, without refreshing it
+        (None before the first build and after :meth:`invalidate`)."""
+        return self._graph
+
     def _rebuild(self) -> DependenceGraph:
-        """A full build and its quad snapshot.  The first build of a
+        """A full build and its name index.  The first build of a
         program cloned through an :class:`AnalysisCache`, while it is
         still the clone's content, is taken over from an earlier clone
         of that content, or else published for later ones."""
         origin, self._origin = self._origin, None
         first = origin is not None and origin.version == self.program.version
-        if first:
-            entry = origin.cache._lookup(origin.key)
-            if entry is not None:
-                return self._adopt(entry)
-        graph = self._full_rebuild()
-        self._snapshot_quads()
-        if first:
-            origin.cache._store(origin.key, graph, self._quad_infos)
+        entry = origin.cache._lookup(origin.key) if first else None
+        if entry is not None:
+            graph = self._adopt(entry)
+        else:
+            graph = self._full_rebuild()
+            self._name_index = _scan_names(self.program)
+            if first:
+                origin.cache._store(origin.key, graph, self._name_index)
+        # the cache holds a first build too: refreshes must not edit it
+        self._graph_shared = first
         return graph
 
     def _adopt(self, entry: _FirstBuild) -> DependenceGraph:
-        """Take over a published first build.  The graph is shared (a
-        published graph is never written); the snapshot is copied and
-        the name index rebuilt from it, since refreshes edit both in
-        place."""
+        """Take over a published first build: the graph itself (the
+        next refresh copies it before editing) and a copy of the name
+        index."""
         self.stats.adopted += 1
         if self.full_check:
             self._reference_check(entry.graph, "adopted dependence graph")
-        self._quad_infos = dict(entry.quad_infos)
-        self._name_index = _name_index(self._quad_infos)
+        self._name_index = _copy_index(entry.name_index)
         return entry.graph
 
     def _full_rebuild(self) -> DependenceGraph:
@@ -401,39 +398,56 @@ class AnalysisManager:
 
     def _plan_update(
         self, changes: list[ProgramChange]
-    ) -> Optional[tuple[frozenset[str], frozenset[int]]]:
-        """Affected (names, qids) for an incremental splice, or None
-        when only a full rebuild is sound/profitable."""
+    ) -> Optional[tuple[frozenset[str], frozenset[int], _Renames]]:
+        """Affected names, touched qids and their names then and now
+        for an incremental splice, or None when only a full rebuild is
+        sound/profitable.  A touched quad at the graph's version is the
+        pre-image of its first ``modify`` or ``remove``; absent if its
+        first change added it; the current quad if it was only moved.
+        """
         if not changes or len(changes) > _INCREMENTAL_CHANGE_CAP:
             return None
-        affected: set[str] = set()
         touched: set[int] = set()
+        then: dict[int, Optional[Quad]] = {}
         for change in changes:
             touched.add(change.qid)
-            old = self._quad_infos.get(change.qid)
-            if old is not None:
-                if old.is_marker:
-                    return None  # structure changed: rebuild
-                affected.update(old.names)
-            if self.program.contains(change.qid):
-                info = _quad_info(self.program.quad(change.qid))
-                if info.is_marker:
-                    return None
-                affected.update(info.names)
+            if change.kind != "move":
+                then.setdefault(change.qid, change.before)  # None: added
+        program = self.program
+        affected: set[str] = set()
+        renames: _Renames = {}
+        for qid in touched:
+            now = program.quad(qid) if program.contains(qid) else None
+            old = then.get(qid, now)
+            if any(
+                quad is not None and quad.opcode in STRUCTURAL_OPS
+                for quad in (old, now)
+            ):
+                return None  # structure changed: rebuild
+            new_names = _quad_names(now)
+            old_names = new_names if old is now else _quad_names(old)
+            renames[qid] = (old_names, new_names)
+            affected.update(old_names)
+            affected.update(new_names)
         if len(affected) > _INCREMENTAL_NAME_CAP:
             return None
-        return frozenset(affected), frozenset(touched)
+        return frozenset(affected), frozenset(touched), renames
 
     def _incremental_update(
-        self, affected: frozenset[str], touched: frozenset[int]
+        self,
+        affected: frozenset[str],
+        touched: frozenset[int],
+        renames: _Renames,
     ) -> tuple[DependenceGraph, frozenset[tuple[str, int, int]]]:
         """Drop edges incident to the touched region, recompute them
-        with a name-restricted analyzer, splice into the retained rest.
+        with a name-restricted analyzer, splice them into the graph in
+        place, and move the touched quads in the name index.
 
-        The analyzer only scans its scope: the index entries of the
-        affected names (as they stood before this edit) plus the
-        touched quads.  An untouched quad kept its names, so the scope
-        holds every quad that now mentions an affected name.
+        An edge to drop leaves a touched quad or a quad the name index
+        (as of the graph's version) lists under an affected name: a
+        data edge goes when its variable is affected, a ctrl edge when
+        its sink is touched.  An untouched quad kept its names, so the
+        live part of that set is the analyzer's scope.
 
         Also returns the delta: every edge — as a ``(kind, src, dst)``
         triple — that genuinely differs between the old and new graphs.
@@ -443,13 +457,14 @@ class AnalysisManager:
         recomputation scope.
         """
         self.stats.incremental_updates += 1
-        assert self._graph is not None
+        graph = self._graph
+        assert graph is not None
         program = self.program
         contains = program.contains
         index = self._name_index
-        scope = {qid for qid in touched if contains(qid)}
+        sources = set(touched)
         for name in affected:
-            scope.update(qid for qid in index.get(name, ()) if contains(qid))
+            sources.update(index.get(name, ()))
         partial = DependenceAnalyzer(
             program,
             restrict_names=affected,
@@ -457,30 +472,30 @@ class AnalysisManager:
                 qid for qid in touched if contains(qid)
             ),
             structure=self.structure(),
-            scope=scope,
+            scope={qid for qid in sources if contains(qid)},
             memo=self._pair_memo,
         ).analyze()
-        # data edges partition by variable name, ctrl edges by touched
-        # sink.  A deleted quad's edges all go: its names are affected,
-        # and deleting a guard (a marker) forces a full rebuild.
-        kept: list[DepEdge] = []
-        removed: list[DepEdge] = []
-        keep, drop = kept.append, removed.append
-        for edge in self._graph.edges:
-            if edge.kind == "ctrl":
-                (drop if edge.dst in touched else keep)(edge)
-            else:
-                (drop if edge.var in affected else keep)(edge)
-        fresh = DependenceGraph.spliced(
-            self._graph, kept, removed, partial.edges
-        )
+        removed = [
+            edge
+            for qid in sources
+            for edge in graph.deps_from(qid)
+            if edge.var in affected  # a ctrl edge names no variable
+        ]
+        for qid in touched:
+            removed.extend(graph.deps_to(qid, "ctrl"))
+        if self._graph_shared:
+            graph = graph.copy()
+            self._graph_shared = False
+        graph.spliced(removed, partial)
         for note in partial.notes:
-            fresh.add_note(note)
-        self.stats.edges_retained += len(fresh.edges) - len(partial.edges)
-        self.stats.edges_recomputed += len(partial.edges)
-        return fresh, frozenset(
+            graph.add_note(note)
+        self.stats.edges_retained += len(graph) - len(partial)
+        self.stats.edges_recomputed += len(partial)
+        for qid, (old, new) in renames.items():
+            self._reindex(qid, old, new)
+        return graph, frozenset(
             (edge.kind, edge.src, edge.dst)
-            for edge in set(removed).symmetric_difference(partial.edges)
+            for edge in set(removed).symmetric_difference(partial)
         )
 
     def _reference_check(self, rebuilt: DependenceGraph, what: str) -> None:
@@ -508,8 +523,20 @@ class AnalysisManager:
 
     def _shadow_check(self, incremental: DependenceGraph) -> None:
         """Assert the spliced graph's edges equal the all-pairs
-        reference's."""
+        reference's, and that its query buckets are those a fresh graph
+        over its edge list builds (every bucket in edge order)."""
         self.stats.shadow_checks += 1
+        fresh = DependenceGraph(incremental.edges)
+        for have, built in ((incremental._by_src, fresh._by_src),
+                            (incremental._by_dst, fresh._by_dst)):
+            drift = [key for key in have.keys() | built.keys()
+                     if have.get(key) != built.get(key)]
+            if drift:
+                raise IncrementalMismatchError(
+                    "spliced graph's query buckets diverged from its edge "
+                    f"list at program version {self.program.version}: "
+                    f"{sorted(drift)[:10]}"
+                )
         full = AllPairsAnalyzer(self.program).analyze()
         got, want = incremental.edge_set(), full.edge_set()
         if got == want:
@@ -525,10 +552,7 @@ class AnalysisManager:
 
     def _check_index(self) -> None:
         """Assert the maintained name index equals a fresh scan."""
-        want: dict[str, set[int]] = {}
-        for quad in self.program:
-            for name in _quad_names(quad):
-                want.setdefault(name, set()).add(quad.qid)
+        want = _scan_names(self.program)
         got = {name: qids for name, qids in self._name_index.items() if qids}
         if got == want:
             return
@@ -536,39 +560,11 @@ class AnalysisManager:
             name for name in got.keys() | want.keys()
             if got.get(name) != want.get(name)
         )
-        # a drifted index would mis-scope every later refresh
-        self.invalidate()
         raise IncrementalMismatchError(
             "maintained name index diverged from a fresh scan at program "
             f"version {self.program.version}: {len(drift)} name(s) "
             f"differ: {drift[:10]}"
         )
-
-    def _snapshot_quads(
-        self, touched: Optional[frozenset[int]] = None
-    ) -> None:
-        """Record qid -> (marker?, names) for the next plan's old-state
-        lookup, and the name index the next refresh is scoped by.
-        After an incremental splice only the touched quads can have
-        changed (qids are never reused), so only they re-snapshot.
-        """
-        if touched is None:
-            self._quad_infos = {
-                quad.qid: _quad_info(quad) for quad in self.program
-            }
-            self._name_index = _name_index(self._quad_infos)
-            return
-        for qid in touched:
-            old = self._quad_infos.pop(qid, None)
-            new_names: frozenset[str] = frozenset()
-            if self.program.contains(qid):
-                info = self._quad_infos[qid] = _quad_info(
-                    self.program.quad(qid)
-                )
-                new_names = info.names
-            self._reindex(
-                qid, old.names if old is not None else frozenset(), new_names
-            )
 
     def _reindex(
         self, qid: int, old: frozenset[str], new: frozenset[str]
@@ -634,7 +630,7 @@ class AnalysisManager:
         self._products.clear()
         self._graph = None
         self._graph_version = -1
-        self._quad_infos.clear()
+        self._graph_shared = False
         self._name_index.clear()
         self._deltas.clear()
 
@@ -646,12 +642,15 @@ class AnalysisCache:
     screens every candidate on one corpus) would otherwise analyse each
     clone from scratch.  :meth:`clone` hands out a clone together with
     a manager whose first :meth:`AnalysisManager.graph` call takes over
-    the graph and quad snapshot of an earlier clone of the same
-    content, or publishes its own for later clones.  Taking over is
-    exact: the analyzer reads only the quad sequence with its qids.
+    the graph and name index of an earlier clone of the same content,
+    or publishes its own for later clones.  Taking over is exact: the
+    analyzer reads only the quad sequence with its qids.
 
     Entries are keyed by the source's fingerprint and qid sequence and
-    hold nothing else: no program, structure table or manager.  At most
+    hold the graph and a private copy of its name index, nothing else:
+    no program, structure table or manager.  A manager whose graph an
+    entry holds copies it before its first in-place edit, and every
+    taker gets its own copy of the index.  At most
     ``_FIRST_BUILD_CAP`` are kept, least recently used dropped first.
     One cache serves one campaign; it is never shared between runs.
     """
@@ -676,12 +675,9 @@ class AnalysisCache:
         return entry
 
     def _store(
-        self,
-        key: _ContentKey,
-        graph: DependenceGraph,
-        quad_infos: dict[int, _QuadInfo],
+        self, key: _ContentKey, graph: DependenceGraph, index: _NameIndex
     ) -> None:
-        self._entries[key] = _FirstBuild(graph, dict(quad_infos))
+        self._entries[key] = _FirstBuild(graph, _copy_index(index))
         self._entries.move_to_end(key)
         if len(self._entries) > _FIRST_BUILD_CAP:
             self._entries.popitem(last=False)

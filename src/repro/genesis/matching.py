@@ -118,10 +118,14 @@ def point_signature(bindings: dict[str, object]) -> tuple:
     raising — two points are then "the same" only when they carry the
     very same object.
     """
-    items = []
-    for name, value in sorted(bindings.items()):
-        items.append((name, _signature_value(value)))
-    return tuple(items)
+    items = tuple(sorted(bindings.items()))
+    try:
+        hash(items)  # every value hashable: the items are the signature
+    except TypeError:
+        return tuple(
+            (name, _signature_value(value)) for name, value in items
+        )
+    return items
 
 
 def _signature_value(value: object) -> object:

@@ -74,6 +74,13 @@ class OptimizerSession:
 
     The session owns a working copy of the program; the original is
     kept for before/after comparisons.
+
+    With ``recompute_dependences`` off (``recompute off``), the
+    optimizers see the dependences as last computed: the graph of the
+    session's :class:`AnalysisManager` as of its last refresh.  A
+    recompute-on ``apply`` refreshes it between its applications, so
+    it can be newer than the graph that apply started from.  Only
+    ``deps``, or recomputation turned back on, refreshes it again.
     """
 
     program: Program
@@ -93,9 +100,6 @@ class OptimizerSession:
         self._manager = AnalysisManager(self.program)
         #: per-optimizer circuit breaker shared across the session
         self.health = HealthLedger(quarantine_after=self.quarantine_after)
-        #: the graph most recently handed out — kept so "recompute off"
-        #: can deliberately serve a stale graph
-        self._last_graph: Optional[DependenceGraph] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -132,8 +136,7 @@ class OptimizerSession:
         program version and refreshed incrementally from the change
         log rather than rebuilt from scratch.
         """
-        self._last_graph = self._manager.graph()
-        return self._last_graph
+        return self._manager.graph()
 
     @property
     def analysis_stats(self) -> AnalysisStats:
@@ -146,14 +149,14 @@ class OptimizerSession:
         worklist-served vs full sweeps."""
         return engine_for(self._manager).stats
 
-    def _maybe_graph(self) -> Optional[DependenceGraph]:
-        """Graph to hand to the driver: stale is allowed when the user
-        disabled recomputation."""
-        if self.recompute_dependences:
-            return self.dependences
-        if self._last_graph is None:
-            return self.dependences
-        return self._last_graph
+    def _maybe_graph(self) -> DependenceGraph:
+        """Graph to hand to the driver: with recomputation off, the
+        manager's graph as of its last refresh (stale on purpose)."""
+        if not self.recompute_dependences:
+            stale = self._manager.last_graph()
+            if stale is not None:
+                return stale
+        return self.dependences
 
     def list_optimizations(self) -> list[str]:
         """Names of the registered optimizations."""
@@ -361,7 +364,6 @@ class OptimizerSession:
         """Restore the original program (fresh experiment)."""
         self.program = self.original.clone()
         self._manager = AnalysisManager(self.program)
-        self._last_graph = None
         self.history.append(SessionEvent(command="reset"))
 
     # ------------------------------------------------------------------

@@ -61,6 +61,11 @@ class Opcode(enum.Enum):
     # no-op placeholder (used transiently by some transformations)
     NOP = "nop"
 
+    # ``Enum.__hash__`` runs Python code, and every ``in COMPUTE_OPS``
+    # test on the hot paths hashes an opcode; members compare by
+    # identity, so the identity hash agrees with ``==``
+    __hash__ = object.__hash__
+
 
 #: Binary arithmetic opcodes: ``result := a op b``.
 BINARY_OPS = frozenset(

@@ -276,9 +276,10 @@ def emit_module(result: InferenceResult) -> str:
 
     The output is what ``src/repro/opts/inferred.py`` contains: an
     ``INFERRED_SPECS`` dict of GOSpeL sources with per-spec provenance
-    comments.  ``tests/synth/test_inferred_catalog.py`` re-runs the
-    admission pipeline over the committed module so a stale or
-    hand-edited entry cannot silently survive.
+    comments.  ``tests/synth/test_infer.py``
+    (``test_committed_module_matches_regeneration``) compares the
+    committed module with the output of a fresh default run, so a
+    stale or hand-edited entry cannot silently survive.
     """
     lines = [
         '"""Machine-inferred GOSpeL specifications (generated).',

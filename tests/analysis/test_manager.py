@@ -7,6 +7,8 @@ name index), the stats counters, and the campaign cache that shares
 first builds between clones of one content.
 """
 
+from copy import deepcopy
+
 import pytest
 
 import repro.analysis.manager as manager_module
@@ -57,6 +59,27 @@ def assert_matches_full(manager: AnalysisManager) -> None:
     assert got == want
 
 
+def assert_refreshed_exactly(manager: AnalysisManager) -> None:
+    """The refreshed graph equals a fresh analysis, its buckets list
+    their edges in edge order, and the name index equals a scan."""
+    graph = manager.graph()
+    assert graph.edge_set() == compute_dependences(manager.program).edge_set()
+    fresh = DependenceGraph(graph.edges)
+    assert graph._by_src == fresh._by_src
+    assert graph._by_dst == fresh._by_dst
+    manager._check_index()
+
+
+def graph_state(graph: DependenceGraph) -> tuple:
+    """A graph's edges, notes and buckets, copied out for comparison."""
+    return (
+        graph.edges,
+        list(graph.notes),
+        {key: list(bucket) for key, bucket in graph._by_src.items()},
+        {key: list(bucket) for key, bucket in graph._by_dst.items()},
+    )
+
+
 class TestProductCache:
     def test_same_version_hits(self):
         manager = AnalysisManager(straight_line())
@@ -78,10 +101,8 @@ class TestProductCache:
         manager = AnalysisManager(loopy())
         manager.cfg()
         manager.structure()
-        manager.dominators()
         manager.reaching()
         manager.liveness()
-        manager.control_deps()
         manager.graph()
 
     def test_graph_cached_per_version(self):
@@ -135,13 +156,15 @@ class TestIncrementalUpdate:
     def test_remove_drops_dead_endpoints(self):
         program = straight_line()
         manager = AnalysisManager(program)
-        before = manager.graph()
+        manager.graph()
         victim = program[2].qid
         program.remove(victim)
         after = manager.graph()
         assert all(victim not in (e.src, e.dst) for e in after)
-        assert after is not before
-        assert_matches_full(manager)
+        # the refresh was a miss that edited the graph, not a cache hit
+        assert manager.stats.misses["dependences"] == 2
+        assert manager.stats.incremental_updates == 1
+        assert after.edge_set() == compute_dependences(program).edge_set()
 
     def test_insert_adds_new_edges(self):
         program = straight_line()
@@ -215,6 +238,161 @@ class TestIncrementalUpdate:
                                   a=Const(1)))
         assert_matches_full(manager)
         assert manager.stats.incremental_updates == 1
+
+
+class TestPreImages:
+    """A touched quad's names at the graph's version come from the
+    change log, however many changes the interval holds."""
+
+    def plan(self, manager: AnalysisManager, since: int):
+        return manager._plan_update(manager.program.changes_since(since))
+
+    def test_add_then_remove_touches_nothing(self):
+        program = loopy()
+        manager = AnalysisManager(program)
+        manager.graph()
+        since = program.version
+        anchor = program[0].qid
+        plain = program.insert_after(
+            anchor, Quad(Opcode.ASSIGN, result=Var("q"), a=Var("n"))
+        )
+        marker = program.insert_after(anchor, Quad(Opcode.ENDDO))
+        program.remove(marker.qid)
+        program.remove(plain.qid)
+        _affected, touched, renames = self.plan(manager, since)
+        assert touched == {plain.qid, marker.qid}
+        assert renames[marker.qid] == renames[plain.qid] == (
+            frozenset(), frozenset()
+        )
+        assert_refreshed_exactly(manager)
+        # the marker never existed at either end: no structure change
+        assert manager.stats.full_rebuilds == 1
+        assert manager.stats.incremental_updates == 1
+
+    def test_move_then_modify(self):
+        program = loopy()
+        manager = AnalysisManager(program)
+        manager.graph()
+        since = program.version
+        add = next(q for q in program if q.opcode is Opcode.ADD)
+        store = next(q for q in program if q.defined_array() is not None)
+        program.move_after(add.qid, store.qid)
+        program.move_after(store.qid, add.qid)
+        before = program.preimage(add.qid)
+        add.b = Var("n")  # s := s + n
+        program.touch(add.qid, before)
+        _affected, _touched, renames = self.plan(manager, since)
+        assert renames[add.qid] == (frozenset({"s"}), frozenset({"s", "n"}))
+        # only moved: its names then are its names now
+        assert renames[store.qid] == (
+            frozenset({"a", "i"}), frozenset({"a", "i"})
+        )
+        assert_refreshed_exactly(manager)
+        assert manager.stats.incremental_updates == 1
+
+    def test_modify_twice_reads_the_first_pre_image(self):
+        program = straight_line()
+        manager = AnalysisManager(program)
+        manager.graph()
+        since = program.version
+        target = program[2]  # z := y
+        for name in ("x", "w"):
+            before = program.preimage(target.qid)
+            target.a = Var(name)
+            program.touch(target.qid, before)
+        affected, _touched, renames = self.plan(manager, since)
+        # the intermediate state (z := x) plays no part
+        assert renames[target.qid] == (
+            frozenset({"z", "y"}), frozenset({"z", "w"})
+        )
+        assert "x" not in affected
+        assert_refreshed_exactly(manager)
+        assert manager.stats.incremental_updates == 1
+
+    def test_remove_then_rollback_re_add(self):
+        program = loopy()
+        manager = AnalysisManager(program)
+        before = manager.graph().edge_set()
+        since = program.version
+        store = next(q for q in program if q.defined_array() is not None)
+        program.remove(store.qid)
+        program.rollback_to(since)
+        _affected, _touched, renames = self.plan(manager, since)
+        assert renames[store.qid] == (
+            frozenset({"a", "i"}), frozenset({"a", "i"})
+        )
+        assert_refreshed_exactly(manager)
+        assert manager.graph().edge_set() == before
+        assert manager.stats.incremental_updates == 1
+
+    def test_renamed_operand_drops_the_old_names_edges(self):
+        program = straight_line()
+        manager = AnalysisManager(program)
+        graph = manager.graph()
+        x_def, y_def = program[0].qid, program[1].qid
+        assert graph.query("flow", src=x_def, dst=y_def, var="x")
+        before = program.preimage(y_def)
+        program[1].a = Const(5)  # y := 5 + 2 no longer reads x
+        program.touch(y_def, before)
+        assert_refreshed_exactly(manager)
+        assert not manager.graph().query("flow", src=x_def, var="x")
+
+    def test_removed_quad_edges_go_with_it(self):
+        """Edges out of a deleted quad are found through its own
+        buckets, though it is no longer in the program."""
+        program = straight_line()
+        manager = AnalysisManager(program)
+        graph = manager.graph()
+        victim = program[2].qid  # z := y
+        assert graph.deps_from(victim) and graph.deps_to(victim)
+        program.remove(victim)
+        assert_refreshed_exactly(manager)
+        assert not manager.graph().deps_from(victim)
+
+
+class TestInPlaceGraph:
+    def test_refresh_edits_the_graph_in_place(self):
+        program = straight_line()
+        manager = AnalysisManager(program)
+        graph = manager.graph()
+        qid = program[1].qid
+        program.touch(qid, program.preimage(qid))
+        assert manager.graph() is graph
+        assert manager.stats.incremental_updates == 1
+        assert_refreshed_exactly(manager)
+
+    def test_failed_refresh_invalidates(self):
+        program = straight_line()
+        manager = AnalysisManager(program, full_check=True)
+        manager.graph()
+        # an unlogged edit the refresh cannot see: the shadow check fails
+        program[1].a = Var("z")
+        qid = program[3].qid
+        program.touch(qid, program.preimage(qid))
+        with pytest.raises(IncrementalMismatchError):
+            manager.graph()
+        assert manager.last_graph() is None
+        assert manager._name_index == {}
+        assert manager.dependence_deltas_since(0) is None
+        assert_refreshed_exactly(manager)
+        assert manager.stats.full_rebuilds == 2
+
+    def test_bucket_drift_raises(self, monkeypatch):
+        program = straight_line()
+        manager = AnalysisManager(program, full_check=True)
+        manager.graph()
+        original = DependenceGraph.spliced
+
+        def drop_from_a_bucket(self, removed, fresh):
+            original(self, removed, fresh)
+            next(iter(self._by_src.values())).pop()  # edge kept in the list
+
+        monkeypatch.setattr(DependenceGraph, "spliced", drop_from_a_bucket)
+        qid = program[1].qid
+        program.touch(qid, program.preimage(qid))
+        with pytest.raises(IncrementalMismatchError, match="query buckets"):
+            manager.graph()
+        assert manager.last_graph() is None
 
 
 class TestFullRebuildFallbacks:
@@ -428,7 +606,7 @@ def first_build_state(manager: AnalysisManager) -> tuple:
     """Everything a first build leaves behind, in comparable form."""
     graph = manager.graph()
     index = {name: qids for name, qids in manager._name_index.items() if qids}
-    return graph.edges, graph.notes, index, manager._quad_infos
+    return graph.edges, graph.notes, index
 
 
 class TestAnalysisCache:
@@ -445,9 +623,11 @@ class TestAnalysisCache:
         assert adopter.graph() is built
         assert adopter.stats.adopted == 1
         assert builder.stats.adopted == fresh.stats.adopted == 0
-        # the snapshot and index are the adopter's own, not the entry's
-        assert adopter._quad_infos is not builder._quad_infos
+        # the index is the adopter's own, not the entry's or the builder's
+        (entry,) = cache._entries.values()
         assert adopter._name_index is not builder._name_index
+        assert adopter._name_index is not entry.name_index
+        assert adopter._name_index == entry.name_index == builder._name_index
 
         # the same passes leave byte-identical programs and equal graphs
         optimizers = standard_optimizers(("CTP", "DCE"))
@@ -524,6 +704,28 @@ class TestAnalysisCache:
             adopted[label] = manager.stats.adopted
         assert adopted == {"first": 1, "second": 0, "third": 1}
 
+    def test_in_place_refreshes_leave_the_entry_unchanged(self):
+        cache = AnalysisCache()
+        program = random_program(3, size=30)
+        publisher_program, publisher = cache.clone(program)
+        publisher.graph()
+        (entry,) = cache._entries.values()
+        graph, index = graph_state(entry.graph), deepcopy(entry.name_index)
+        working, adopter = cache.clone(program)
+        assert adopter.graph() is entry.graph
+        optimizers = standard_optimizers(("CTP", "DCE"))
+        options = DriverOptions(apply_all=True)
+        for target, manager in ((working, adopter),
+                                (publisher_program, publisher)):
+            for name in ("CTP", "DCE"):
+                run_optimizer(optimizers[name], target, options,
+                              manager=manager)
+            assert manager.stats.incremental_updates > 0
+            assert manager.graph() is not entry.graph
+            assert_refreshed_exactly(manager)
+        assert graph_state(entry.graph) == graph
+        assert entry.name_index == index
+
     def test_adopted_graph_is_reference_checked(self):
         cache = AnalysisCache()
         program = loopy()
@@ -540,7 +742,7 @@ class TestAnalysisCache:
         (key, entry), = cache._entries.items()
         corrupted = DependenceGraph(entry.graph.edges[1:])
         cache._entries[key] = manager_module._FirstBuild(
-            corrupted, entry.quad_infos
+            corrupted, entry.name_index
         )
         _working, manager = cache.clone(program)
         manager.full_check = True

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.dependence import compute_dependences
 from repro.genesis.session import OptimizerSession, SessionError
 from repro.opts.catalog import standard_optimizers
 
@@ -43,8 +44,36 @@ class TestBasics:
     def test_dependences_cached_by_version(self, session):
         first = session.dependences
         assert session.dependences is first
+        misses = session.analysis_stats.misses["dependences"]
         session.apply("CTP")
-        assert session.dependences is not first
+        graph = session.dependences
+        assert session.analysis_stats.misses["dependences"] > misses
+        assert graph.edge_set() == (
+            compute_dependences(session.program).edge_set()
+        )
+
+
+class TestStaleGraphRule:
+    def test_recompute_off_serves_the_graph_as_last_refreshed(self, session):
+        before = session.dependences.edge_set()
+        # a recompute-on apply refreshes between its applications, and
+        # once more after the last one, when it finds no further point
+        session.apply("CTP", all_points=True)
+        current = compute_dependences(session.program).edge_set()
+        assert current != before
+        session.execute_command("recompute off")
+        assert session._maybe_graph().edge_set() == current
+        misses = session.analysis_stats.misses["dependences"]
+        session.apply("CFO", all_points=True)  # b := 6
+        session.apply("CTP", all_points=True)  # c := 6 + 2, over b -> c
+        # the program changed, and nothing refreshed the graph
+        assert session.analysis_stats.misses["dependences"] == misses
+        assert session._maybe_graph().edge_set() == current
+        assert compute_dependences(session.program).edge_set() != current
+        session.execute_command("recompute on")
+        assert session._maybe_graph().edge_set() == (
+            compute_dependences(session.program).edge_set()
+        )
 
 
 class TestApplication:
