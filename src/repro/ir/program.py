@@ -432,9 +432,14 @@ class Program:
 
         Two programs have equal fingerprints exactly when they render
         to the same quad sequence: qids, program name, version history
-        and change-log state do not participate, so the hash survives
-        unparse/parse round trips and identifies *content*, not object
-        lineage.  This is the one program-hash definition shared by
+        and change-log state do not participate, so the hash identifies
+        *content*, not object lineage, and survives unparse/parse round
+        trips of programs without ``DOALL`` loops.  A ``DOALL`` has no
+        surface syntax: it unparses as a commented ``DO`` and parses
+        back as ``DO``, so its program's fingerprint changes on the
+        first round trip (and is stable from then on).  This is why the
+        search engine keys its states' fingerprints and scores on their
+        text.  This is the one program-hash definition shared by
         the ordering experiment, the match-index state hash, and the
         service result cache (:mod:`repro.service`).
 

@@ -3,6 +3,7 @@
 The engine owns everything the strategies share: the service-backed
 evaluator (see :mod:`repro.search.space`), the budget, the
 fingerprint-keyed transposition table that prunes convergent branches,
+the text-keyed memo that parses and scores each distinct state once,
 the deterministic visit log, and the incumbent best.  A
 :class:`~repro.search.strategy.SearchStrategy` only decides *which*
 states to extend next; the engine decides what an extension costs and
@@ -230,25 +231,40 @@ class PhaseOrderingEngine:
         #: resulting sequence of every evaluation, in order
         self.visit_order: list[tuple[str, ...]] = []
         self.leaves: list[SearchNode] = []
+        #: state text -> (fingerprint, score), filled on first sight
+        self._measured: dict[str, tuple[str, float]] = {}
 
     # ------------------------------------------------------------------
     # state construction
     # ------------------------------------------------------------------
     def start(self, source: str) -> SearchNode:
         """Install the root state (the unoptimized program)."""
-        program = parse_program(source)
+        fingerprint, score = self._measure(source)
         self.root = SearchNode(
-            sequence=(),
-            source=source,
-            fingerprint=program.fingerprint(),
-            score=self._score(program),
+            sequence=(), source=source, fingerprint=fingerprint, score=score
         )
         self.best = self.root
         self.visited.add(self.root.fingerprint)
         return self.root
 
-    def _score(self, program: Program) -> float:
-        return estimate_time(program, self.model).cycles
+    def _measure(self, source: str) -> tuple[str, float]:
+        """A state text's fingerprint and score, parsed once per text.
+
+        Both are pure functions of the text: parsing is deterministic
+        and the objective model is fixed per engine.  The key is the
+        text, not a fingerprint a worker reports, because a DOALL loop
+        unparses as a commented DO: a PAR result's in-memory
+        fingerprint differs from that of its text.
+        """
+        measured = self._measured.get(source)
+        if measured is None:
+            program = parse_program(source)
+            measured = (
+                program.fingerprint(),
+                estimate_time(program, self.model).cycles,
+            )
+            self._measured[source] = measured
+        return measured
 
     def rank(self, node: SearchNode):
         """Deterministic candidate ordering: score, then the sequence."""
@@ -329,12 +345,12 @@ class PhaseOrderingEngine:
         """Turn an evaluation's job result into a state; track the best."""
         if not result.ok or result.source is None:
             return None
-        program = parse_program(result.source)
+        fingerprint, score = self._measure(result.source)
         child = SearchNode(
             sequence=request.node.sequence + (request.opt_name,),
             source=result.source,
-            fingerprint=program.fingerprint(),
-            score=self._score(program),
+            fingerprint=fingerprint,
+            score=score,
             applied=request.node.applied + (result.applications,),
         )
         self.visit_order.append(child.sequence)

@@ -154,8 +154,10 @@ def canonical_source(program: Program) -> str:
     """A program as round-trip-stable mini-Fortran text.
 
     Search states live in the unparse/parse domain (the service wire
-    format), so the root is rendered once up front; fingerprints
-    survive the round trip (see :meth:`Program.fingerprint`).
+    format), so the root is rendered once up front.  Fingerprints
+    survive the round trip except where a ``DOALL`` loop parses back
+    as ``DO`` (see :meth:`Program.fingerprint`), which is why the
+    engine fingerprints and scores each state from its text.
     """
     from repro.frontend.unparse import unparse_program
 
