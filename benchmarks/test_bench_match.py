@@ -1,15 +1,17 @@
-"""Restart-from-top re-scan vs worklist-driven matching (ISSUE 4).
+"""Restart-from-top re-scan vs worklist-driven matching.
 
 Runs a ten-pass scalar pipeline over synthetic workloads of growing
-size, once with ``match_mode="rescan"`` (the paper's Figure 5 driver:
-after every application the pattern scan restarts from the top of the
-program) and once with ``match_mode="worklist"`` (candidate indexes
-plus a dirty-region worklist, :mod:`repro.genesis.matching`).  Only
-the matching phase is compared — each arm's discovery wall-clock is
+size, once through the paper's Figure 5 loop (``tests/figure5.py``:
+after every application the listing restarts from the top of the
+program) and once through the driver (candidate indexes plus a
+dirty-region worklist, :mod:`repro.genesis.matching`).  Only the
+matching phase is compared — each arm's discovery wall-clock is
 accumulated in ``DriverResult.match_seconds`` — so action/analysis
-time does not dilute the ratio.  Timings for every size are recorded
-in ``BENCH_match.json`` at the repository root; the largest size must
-show at least a :data:`TARGET_SPEEDUP` matching-phase improvement.
+time does not dilute the ratio.  The rescan arm's total also holds
+``apply_at_point``'s second listing up to each chosen point.  Timings
+for every size are recorded in ``BENCH_match.json`` at the repository
+root; the largest size must show at least a :data:`TARGET_SPEEDUP`
+matching-phase improvement.
 
 ``test_smoke_worklist_matches_rescan`` is the cheap CI entry point
 (select with ``-k smoke``): a small size, asserting behavioural
@@ -30,6 +32,7 @@ from repro.genesis.matching import MatchStats, engine_for
 from repro.ir.program import Program
 from repro.opts.catalog import standard_optimizers
 from repro.workloads.synthetic import random_program
+from tests.figure5 import run_figure5
 
 #: The 10-pass pipeline: two cleanup rounds plus a final sweep.
 PASSES = ["CTP", "CFO", "CPP", "DCE"] * 2 + ["CTP", "DCE"]
@@ -50,14 +53,18 @@ def pipeline_optimizers():
     return standard_optimizers(("CTP", "CFO", "CPP", "DCE"))
 
 
+#: the two arms: the paper's restart-from-top loop and the driver
+DRIVERS = {"rescan": run_figure5, "worklist": run_optimizer}
+
+
 def _run_pipeline(
-    program: Program, optimizers, match_mode: str
+    program: Program, optimizers, arm: str
 ) -> tuple[float, MatchStats]:
     manager = AnalysisManager(program)
-    options = DriverOptions(apply_all=True, match_mode=match_mode)
+    options = DriverOptions(apply_all=True)
     match_seconds = 0.0
     for name in PASSES:
-        result = run_optimizer(
+        result = DRIVERS[arm](
             optimizers[name], program, options, manager=manager
         )
         match_seconds += result.match_seconds
@@ -65,11 +72,11 @@ def _run_pipeline(
 
 
 def _measure(
-    base: Program, optimizers, match_mode: str
+    base: Program, optimizers, arm: str
 ) -> tuple[float, float, Program, MatchStats]:
     program = base.clone()
     start = time.perf_counter()
-    match_seconds, stats = _run_pipeline(program, optimizers, match_mode)
+    match_seconds, stats = _run_pipeline(program, optimizers, arm)
     return time.perf_counter() - start, match_seconds, program, stats
 
 
@@ -85,10 +92,10 @@ def test_worklist_speedup(pipeline_optimizers):
     for size in SIZES:
         base = random_program(SEED, size=size, max_depth=2)
         rescan_total, rescan_match, rescan_prog, _ = _measure(
-            base, pipeline_optimizers, match_mode="rescan"
+            base, pipeline_optimizers, arm="rescan"
         )
         work_total, work_match, work_prog, work_stats = _measure(
-            base, pipeline_optimizers, match_mode="worklist"
+            base, pipeline_optimizers, arm="worklist"
         )
         # both arms must optimize identically, or the timing is moot
         assert [str(q) for q in work_prog] == [str(q) for q in rescan_prog]
@@ -128,10 +135,10 @@ def test_smoke_worklist_matches_rescan(pipeline_optimizers):
     """CI smoke: one small size, equivalence only (no timing assert)."""
     base = random_program(SEED, size=40, max_depth=2)
     _, _, rescan_prog, _ = _measure(
-        base, pipeline_optimizers, match_mode="rescan"
+        base, pipeline_optimizers, arm="rescan"
     )
     _, _, work_prog, work_stats = _measure(
-        base, pipeline_optimizers, match_mode="worklist"
+        base, pipeline_optimizers, arm="worklist"
     )
     assert [str(q) for q in work_prog] == [str(q) for q in rescan_prog]
     assert work_stats.worklist_sweeps + work_stats.cached_sweeps > 0

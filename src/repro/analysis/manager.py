@@ -358,6 +358,15 @@ class AnalysisManager:
         (None before the first build and after :meth:`invalidate`)."""
         return self._graph
 
+    def is_current(self, graph: DependenceGraph) -> bool:
+        """Is ``graph`` this manager's graph of the current program
+        version?  Not after an edit without a :meth:`graph` call, and
+        never for a graph built elsewhere."""
+        return (
+            graph is self._graph
+            and self._graph_version == self.program.version
+        )
+
     def _rebuild(self) -> DependenceGraph:
         """A full build and its name index.  The first build of a
         program cloned through an :class:`AnalysisCache`, while it is

@@ -27,7 +27,7 @@ rejected session command) — reported as a one-line diagnostic.
 
     genesis interact <program.f> [--opts ...]
         Drive the interactive interface (paper Figure 4 step 3.b):
-        list / points OPT / apply OPT [all|N] / override OPT N /
+        list / points OPT [override] / apply OPT [all|N] / override OPT N /
         recompute on|off / deps / show / history / reset / quit.
 
     genesis experiments [--only E1,E2,...] [--out FILE] [--parallel]

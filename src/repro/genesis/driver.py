@@ -3,11 +3,15 @@
 The driver is the same for every generated optimizer: it calls the call
 interface's ``set_up_OPT``, walks pattern matches (``match_OPT``),
 checks preconditions (``pre_OPT``), and fires ``act_OPT`` at accepted
-application points.  Extensions over the paper's pseudocode, all
-exposed through the interactive interface the paper describes: finding
-points without applying, applying at one chosen point or at all points,
-overriding dependence restrictions, and optionally recomputing
-dependences between applications.
+application points.  One loop runs those procedures,
+:func:`repro.genesis.matching.enumerate_points`; the driver reads it
+through the matching engine's sweeps, and the point listing reads it
+directly.  Extensions over the paper's pseudocode, all exposed through
+the interactive interface the paper describes: finding points without
+applying, applying at one chosen point or at all points, overriding
+dependence restrictions, and optionally recomputing dependences between
+applications.  The paper's restart-from-top loop itself is not here: it
+is the reference the test suite checks the driver against.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.analysis.graph import DependenceGraph
 from repro.analysis.manager import AnalysisManager, manager_for
 from repro.genesis.cost import ApplicationRecord, CostCounters
 from repro.genesis.generator import GeneratedOptimizer
 from repro.genesis.library import MatchContext
-from repro.genesis.matching import engine_for, point_signature
+from repro.genesis.matching import engine_for, enumerate_points
 from repro.genesis.transaction import (
     ApplicationFailure,
     HealthLedger,
@@ -33,7 +37,11 @@ from repro.ir.program import Program
 
 @dataclass
 class DriverOptions:
-    """Knobs of the interactive interface (Figure 4, step 3.b.iii)."""
+    """Knobs of the interactive interface (Figure 4, step 3.b.iii).
+
+    Point discovery has no knob: every run sweeps through the matching
+    engine (:mod:`repro.genesis.matching`).
+    """
 
     #: apply at every (re-discovered) point rather than just the first
     apply_all: bool = False
@@ -70,14 +78,6 @@ class DriverOptions:
     #: budget: fuel — total pattern-match candidates considered across
     #: the run before the driver gives up
     max_match_attempts: Optional[int] = None
-    #: how application points are discovered between applications:
-    #: ``"worklist"`` (default) sweeps through the matching engine
-    #: (candidate indexes + dirty-region worklist, see
-    #: :mod:`repro.genesis.matching`); ``"rescan"`` restarts the naive
-    #: full scan from the top of the program after every application
-    #: — the paper's Figure 5 behaviour, kept as the reference the
-    #: worklist is tested and benchmarked against
-    match_mode: str = "worklist"
 
 
 @dataclass
@@ -90,8 +90,8 @@ class DriverResult:
     failures: list[ApplicationFailure] = field(default_factory=list)
     counters: CostCounters = field(default_factory=CostCounters)
     elapsed_seconds: float = 0.0
-    #: wall-clock spent discovering application points (the matching
-    #: phase), under either ``match_mode``
+    #: wall-clock spent discovering application points: the matching
+    #: engine's sweeps and the choice of the next point
     match_seconds: float = 0.0
     #: why the run ended early, if it did: ``"deadline"``, ``"fuel"``,
     #: ``"rollback-budget"`` or ``"quarantined"``
@@ -117,31 +117,6 @@ class DriverResult:
         return text
 
 
-def _point_bindings(
-    optimizer: GeneratedOptimizer, ctx: MatchContext
-) -> dict[str, object]:
-    """The bindings that identify an application point.
-
-    Restricted to names actually bound by ``any``/``all`` clauses —
-    leftover bindings from failed ``no``-clause scans are not part of
-    the point's identity.
-    """
-    relevant = optimizer.action_names
-    return {
-        name: value
-        for name, value in ctx.snapshot_bindings().items()
-        if name in relevant
-    }
-
-
-#: A hashable identity for an application point.  Every binding value
-#: participates: hashable values key by value, unhashable ones fall
-#: back to identity-based keys instead of being silently dropped (or
-#: raising).  Shared with the matching engine so cached sweeps and the
-#: driver agree on point identity.
-_signature = point_signature
-
-
 def make_context(
     program: Program,
     graph: Optional[DependenceGraph] = None,
@@ -153,20 +128,15 @@ def make_context(
     Dependences come from the ``manager`` (created on demand), which
     updates its graph incrementally from the program's change log
     instead of rebuilding from scratch.  An explicit ``graph`` wins —
-    callers use that to hand in a deliberately stale graph.
+    callers use that to hand in a deliberately stale graph.  The
+    structure table always comes from the manager.
     """
-    structure_provider = None
-    if graph is None:
-        owner = manager_for(program, manager)
-        graph = owner.graph()
-        structure_provider = owner.structure
-    elif manager is not None and manager.program is program:
-        structure_provider = manager.structure
+    owner = manager_for(program, manager)
     return MatchContext(
         program=program,
-        graph=graph,
+        graph=owner.graph() if graph is None else graph,
         counters=counters,
-        structure_provider=structure_provider,
+        structure_provider=owner.structure,
     )
 
 
@@ -182,48 +152,20 @@ def find_application_points(
     """All application points of an optimizer, *without* applying it.
 
     Each point is the binding environment of one complete
-    (Code_Pattern × Depend) match.  Points are deduplicated by binding
-    signature.  On an early return (``limit`` reached) the suspended
-    ``match``/``pre`` generators are closed explicitly, so no
-    half-finished scan keeps counting candidates against ``counters``
-    (or pins program state) after this call returns.
+    (Code_Pattern × Depend) match, in the order
+    :func:`~repro.genesis.matching.enumerate_points` lists them.
+    Points are deduplicated by binding signature.  On an early return
+    (``limit`` reached) the listing is closed, so no half-finished scan
+    keeps counting candidates against ``counters`` (or pins program
+    state) after this call returns.
     """
     ctx = make_context(program, graph, counters, manager)
     ctx.enforce_restrictions = enforce_restrictions
-    points = _listed_points(optimizer, ctx)
+    points = enumerate_points(optimizer, ctx)
     try:
-        return list(itertools.islice(points, limit))
+        return [bindings for _, bindings, _ in itertools.islice(points, limit)]
     finally:
         points.close()
-
-
-def _listed_points(
-    optimizer: GeneratedOptimizer, ctx: MatchContext
-) -> Iterator[dict[str, object]]:
-    """Yield the distinct application points in listing order.
-
-    While suspended at a point, ``ctx`` is still bound to it, so the
-    caller may act there.  Closing the generator closes the
-    ``match``/``pre`` generators it suspends.
-    """
-    optimizer.set_up(ctx)
-    seen: set[tuple] = set()
-    match_gen = optimizer.match(ctx)
-    try:
-        for _match in match_gen:
-            pre_gen = optimizer.pre(ctx)
-            try:
-                for _pre in pre_gen:
-                    bindings = _point_bindings(optimizer, ctx)
-                    signature = _signature(bindings)
-                    if signature in seen:
-                        continue
-                    seen.add(signature)
-                    yield bindings
-            finally:
-                pre_gen.close()
-    finally:
-        match_gen.close()
 
 
 def _transactional_act(
@@ -298,6 +240,34 @@ def _transactional_act(
     return None
 
 
+def _apply_point(
+    optimizer: GeneratedOptimizer,
+    program: Program,
+    ctx: MatchContext,
+    bindings: dict[str, object],
+    options: DriverOptions,
+    result: DriverResult,
+) -> Optional[ApplicationFailure]:
+    """Act at one point: re-run ``set_up``, bind the point's action
+    names, fire :func:`_transactional_act`, and record the committed
+    application or the contained failure on ``result``."""
+    optimizer.set_up(ctx)
+    ctx.bindings.update(bindings)
+    before = ctx.counters.snapshot()
+    failure = _transactional_act(optimizer, program, ctx, bindings, options)
+    if failure is not None:
+        result.failures.append(failure)
+    else:
+        result.applications.append(
+            ApplicationRecord(
+                opt_name=optimizer.name,
+                bindings=bindings,
+                cost=ctx.counters.minus(before),
+            )
+        )
+    return failure
+
+
 def run_optimizer(
     optimizer: GeneratedOptimizer,
     program: Program,
@@ -324,14 +294,15 @@ def run_optimizer(
     run).  A ``health`` ledger, when supplied, feeds the per-optimizer
     circuit breaker shared across a pipeline or session.
 
-    Point discovery between applications is governed by
-    ``options.match_mode``: the default ``"worklist"`` sweeps through
-    the :mod:`repro.genesis.matching` engine, which serves candidates
-    from shape-bucket indexes and — after a committed application —
-    re-enumerates only the dirty region its transaction touched;
-    ``"rescan"`` restarts the naive full scan from the top of the
-    program each time (the paper's Figure 5 loop, kept as the
-    reference).  Under ``REPRO_MATCH_CHECK=1`` every worklist sweep is
+    Points are discovered by sweeping through the
+    :mod:`repro.genesis.matching` engine, which serves candidates from
+    shape-bucket indexes and — after a committed application —
+    re-enumerates only the dirty region its transaction touched.  The
+    run applies at the first point, in the sweep's canonical order,
+    that it has not applied yet.  The paper's Figure 5 loop, which
+    restarts the scan from the top of the program after every
+    application, is the reference the test suite checks this against;
+    under ``REPRO_MATCH_CHECK=1`` every worklist sweep is also
     shadow-checked against a full re-scan.
     """
     options = options or DriverOptions()
@@ -351,7 +322,7 @@ def run_optimizer(
         )
 
     manager = manager_for(program, manager)
-    engine = engine_for(manager) if options.match_mode != "rescan" else None
+    engine = engine_for(manager)
     current_graph = graph
     while len(result.applications) < options.max_applications:
         if len(result.failures) >= options.max_rollbacks:
@@ -363,74 +334,40 @@ def run_optimizer(
         ctx = make_context(program, current_graph, counters, manager)
         ctx.enforce_restrictions = options.enforce_restrictions
 
-        chosen: Optional[dict[str, object]] = None
-        chosen_signature: Optional[tuple] = None
         discovery_started = time.perf_counter()
-        if engine is not None:
-            # the engine serves its cache only over the manager's
-            # current graph: stale (recompute off) and explicit graphs
-            # take full sweeps
-            sweep = engine.sweep(optimizer, ctx)
-            fuel_used += sweep.attempts
-            if (
-                options.max_match_attempts is not None
-                and fuel_used > options.max_match_attempts
-            ):
-                result.stopped = "fuel"
-                break
-            if out_of_time():
-                result.stopped = "deadline"
-                break
-            for signature, bindings in sweep.points:
-                if signature in applied_signatures:
-                    continue
-                chosen_signature = signature
-                chosen = dict(bindings)
-                break
-            if chosen is not None:
-                applied_signatures.add(chosen_signature)
-                optimizer.set_up(ctx)
-                ctx.bindings.update(chosen)
-        else:
-            optimizer.set_up(ctx)
-            for _match in optimizer.match(ctx):
-                fuel_used += 1
-                if (
-                    options.max_match_attempts is not None
-                    and fuel_used > options.max_match_attempts
-                ):
-                    result.stopped = "fuel"
-                    break
-                if out_of_time():
-                    result.stopped = "deadline"
-                    break
-                for _pre in optimizer.pre(ctx):
-                    bindings = _point_bindings(optimizer, ctx)
-                    signature = _signature(bindings)
-                    if signature in applied_signatures:
-                        continue
-                    applied_signatures.add(signature)
-                    chosen = bindings
-                    chosen_signature = signature
-                    break
-                if chosen is not None:
-                    break
+        # the engine serves its cache only over the manager's current
+        # graph: stale (recompute off) and explicit graphs take full
+        # sweeps
+        sweep = engine.sweep(optimizer, ctx)
+        chosen = next(
+            (point for point in sweep.points
+             if point[0] not in applied_signatures),
+            None,
+        )
         result.match_seconds += time.perf_counter() - discovery_started
-        if result.stopped is not None:
+        fuel_used += sweep.attempts
+        if (
+            options.max_match_attempts is not None
+            and fuel_used > options.max_match_attempts
+        ):
+            result.stopped = "fuel"
+            break
+        if out_of_time():
+            result.stopped = "deadline"
             break
         if chosen is None:
             break
 
-        before = counters.snapshot()
-        failure = _transactional_act(
-            optimizer, program, ctx, chosen, options
+        signature, bindings = chosen
+        applied_signatures.add(signature)
+        failure = _apply_point(
+            optimizer, program, ctx, bindings, options, result
         )
         if failure is not None:
-            result.failures.append(failure)
             # the point may succeed on retry (transient fault), so its
             # signature is released; deterministic failures terminate
             # through the rollback budget or the circuit breaker
-            applied_signatures.discard(chosen_signature)
+            applied_signatures.discard(signature)
             if health is not None and health.record_rollback(
                 optimizer.name, failure
             ):
@@ -439,13 +376,6 @@ def run_optimizer(
             continue
         if health is not None:
             health.record_success(optimizer.name)
-        result.applications.append(
-            ApplicationRecord(
-                opt_name=optimizer.name,
-                bindings=chosen,
-                cost=counters.minus(before),
-            )
-        )
         if not options.apply_all:
             break
         current_graph = (
@@ -471,14 +401,14 @@ def apply_at_point(
     "override dependence restrictions" (the Depend section's ``no``
     clauses are ignored — the user takes responsibility).  Point N is,
     by construction, the N-th point :func:`find_application_points`
-    lists: both walk the same listing, and the action fires in the
-    listing's own context where it stops.  The application runs inside
-    the same transaction as the full driver, under the same ``options``
-    (validation, verification, failure policy): under
-    ``on_failure="rollback"`` a failure restores the pre-apply state
-    and is recorded in ``result.failures``.  A stale ``point_index``
-    (the program changed since the points were listed) or a negative
-    one finds no point and returns an empty result.
+    lists under the same restrictions: the listing stops there, and
+    the action fires the way :func:`run_optimizer` fires it.  The
+    application runs inside the same transaction as the full driver,
+    under the same ``options`` (validation, verification, failure
+    policy): under ``on_failure="rollback"`` a failure restores the
+    pre-apply state and is recorded in ``result.failures``.  A stale
+    ``point_index`` (the program changed since the points were listed)
+    or a negative one finds no point and returns an empty result.
     """
     options = options or DriverOptions()
     counters = CostCounters()
@@ -488,26 +418,12 @@ def apply_at_point(
     start = time.perf_counter()
     ctx = make_context(program, graph, counters, manager)
     ctx.enforce_restrictions = options.enforce_restrictions
-    points = _listed_points(optimizer, ctx)
+    points = enumerate_points(optimizer, ctx)
     try:
-        bindings = next(itertools.islice(points, point_index, None), None)
-        if bindings is not None:
-            # act where the listing stopped: ``ctx`` is bound to point N
-            before = counters.snapshot()
-            failure = _transactional_act(
-                optimizer, program, ctx, bindings, options
-            )
-            if failure is not None:
-                result.failures.append(failure)
-            else:
-                result.applications.append(
-                    ApplicationRecord(
-                        opt_name=optimizer.name,
-                        bindings=bindings,
-                        cost=counters.minus(before),
-                    )
-                )
+        point = next(itertools.islice(points, point_index, None), None)
     finally:
         points.close()
+    if point is not None:
+        _apply_point(optimizer, program, ctx, point[1], options, result)
     result.elapsed_seconds = time.perf_counter() - start
     return result

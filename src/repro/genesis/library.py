@@ -86,15 +86,13 @@ class MatchContext:
         program: Program,
         graph: DependenceGraph,
         counters: Optional[CostCounters] = None,
-        structure_provider: Optional[Callable[[], StructureTable]] = None,
+        *,
+        structure_provider: Callable[[], StructureTable],
     ):
         self.program = program
         self.graph = graph
-        self._structure: Optional[StructureTable] = None
-        self._structure_version = -1
-        #: version-keyed table source shared across contexts (usually
-        #: ``AnalysisManager.structure``) — consulted when no local
-        #: table matches the current program version
+        #: version-keyed table source shared across contexts
+        #: (``AnalysisManager.structure``)
         self.structure_provider = structure_provider
         self.counters = counters or CostCounters()
         self.bindings: dict[str, object] = {}
@@ -153,9 +151,6 @@ class MatchContext:
             )
         return value
 
-    def snapshot_bindings(self) -> dict[str, object]:
-        return dict(self.bindings)
-
     def fresh_temp(self) -> Var:
         """A fresh temporary for action templates (``newtemp``)."""
         existing = self.program.scalar_names()
@@ -172,21 +167,12 @@ class MatchContext:
         Laziness matters during action sequences: a transformation like
         loop distribution passes through intermediate states whose
         region markers don't nest (a copied DO head awaiting its
-        ENDDO); the table is only rebuilt — and validated — when
-        something actually consults it.  Every ``Program`` mutator
+        ENDDO); the provider rebuilds — and validates — the table only
+        when something actually consults it.  Every ``Program`` mutator
         bumps the version, so an action's edits need no explicit
         invalidation.
         """
-        if (
-            self._structure is not None
-            and self._structure_version == self.program.version
-        ):
-            return self._structure
-        if self.structure_provider is not None:
-            return self.structure_provider()
-        self._structure = StructureTable(self.program)
-        self._structure_version = self.program.version
-        return self._structure
+        return self.structure_provider()
 
 
 def _as_qid(value: object) -> int:

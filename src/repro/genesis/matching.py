@@ -55,6 +55,11 @@ and explicit graphs always take a full sweep), and unless dependence
 restrictions are enforced — cached point sets only describe enforcing
 sweeps over the current graph.
 
+Every sweep, full or worklist, reads the one loop over the generated
+``set_up``/``match``/``pre`` procedures, :func:`enumerate_points`; the
+driver's point listing (``find_application_points``,
+``apply_at_point``) reads it too.
+
 Set ``REPRO_MATCH_CHECK=1`` (or construct the engine with
 ``full_check=True``) to shadow every worklist sweep with a naive full
 re-scan and assert point-set equality — the debug mode the property
@@ -65,9 +70,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Generator, Iterable, Optional, Sequence
 
 from repro.analysis.manager import AnalysisManager
 from repro.genesis.cost import CostCounters
@@ -108,7 +112,7 @@ class MatchMismatchError(AssertionError):
 
 
 # ----------------------------------------------------------------------
-# robust point signatures (shared with the driver)
+# robust point signatures
 # ----------------------------------------------------------------------
 def point_signature(bindings: dict[str, object]) -> tuple:
     """A hashable identity for one application point.
@@ -157,7 +161,6 @@ class MatchStats:
     index_hits: int = 0
     #: candidates enumerated across every engine sweep
     candidates_scanned: int = 0
-    sweep_seconds: float = 0.0
     #: read by genesis_bench/child.py (frozen); nothing counts it: 0
     network_tail_runs = 0
     #: read by genesis_bench/child.py (frozen); nothing counts it: 0
@@ -488,6 +491,64 @@ Point = tuple[tuple, dict[str, object]]
 _CachedPoint = tuple[tuple, dict[str, object], Optional[frozenset[int]]]
 
 
+def enumerate_points(
+    optimizer, ctx: MatchContext
+) -> Generator[_CachedPoint, None, int]:
+    """The one loop over an optimizer's generated procedures.
+
+    Runs ``set_up``, then ``pre`` under every ``match`` yield, and
+    yields each distinct application point in listing order as
+    ``(signature, action-name bindings, bound qids)``; a point the
+    listing reaches again is skipped.  While suspended at a point,
+    ``ctx`` is bound to it.  Returns the match-phase yields consumed
+    (the driver's fuel).  Closing the generator early closes the
+    ``match``/``pre`` generators it suspends, so no half-finished scan
+    keeps counting candidates against ``ctx.counters``.
+    """
+    ctx.bindings.clear()
+    optimizer.set_up(ctx)
+    action_names = optimizer.action_names
+    seen: set[tuple] = set()
+    attempts = 0
+    match_gen = optimizer.match(ctx)
+    try:
+        for _found in match_gen:
+            attempts += 1
+            pre_gen = optimizer.pre(ctx)
+            try:
+                for _ok in pre_gen:
+                    bound = ctx.bindings
+                    # leftover bindings of failed ``no``-clause scans are
+                    # not part of the point's identity
+                    bindings = {
+                        name: value
+                        for name, value in bound.items()
+                        if name in action_names
+                    }
+                    signature = point_signature(bindings)
+                    if signature in seen:
+                        continue
+                    seen.add(signature)
+                    yield signature, bindings, _bound_qids(bound)
+            finally:
+                pre_gen.close()
+    finally:
+        match_gen.close()
+    return attempts
+
+
+def _drain(
+    points: Generator[_CachedPoint, None, int]
+) -> tuple[list[_CachedPoint], int]:
+    """Every point of one enumeration, and its match-phase yields."""
+    found: list[_CachedPoint] = []
+    while True:
+        try:
+            found.append(next(points))
+        except StopIteration as done:
+            return found, done.value
+
+
 @dataclass
 class SweepResult:
     """One sweep's outcome: the canonical point list and its cost."""
@@ -564,17 +625,13 @@ class MatchEngine:
         are returned in canonical order: by seed position, then the
         positions of the other bound elements.
         """
-        manager = self.manager
-        program = manager.program
-        started = time.perf_counter()
+        program = self.manager.program
         candidates_before = ctx.counters.candidates
         self.index.refresh()
         ctx.match_index = self.index
         version = program.version
-        cacheable = (
-            ctx.enforce_restrictions
-            and ctx.graph is manager._graph
-            and manager._graph_version == version
+        cacheable = ctx.enforce_restrictions and self.manager.is_current(
+            ctx.graph
         )
         profile = self._profile(optimizer)
         fingerprint = spec_fingerprint(optimizer)
@@ -600,8 +657,7 @@ class MatchEngine:
                     shadow = True
                     self.stats.worklist_sweeps += 1
         if points is None:
-            points, attempts = self._enumerate(optimizer, ctx)
-            points = self._dedup(points)
+            points, attempts = _drain(enumerate_points(optimizer, ctx))
             mode = "full"
             self.stats.full_sweeps += 1
         points = _sort_points(points, program)
@@ -615,7 +671,6 @@ class MatchEngine:
         self.stats.candidates_scanned += (
             ctx.counters.candidates - candidates_before
         )
-        self.stats.sweep_seconds += time.perf_counter() - started
         return SweepResult(
             points=result_points, attempts=attempts, mode=mode
         )
@@ -757,7 +812,7 @@ class MatchEngine:
         ordered = sorted(seeds, key=program.position)
         ctx.arm_seed_restriction(ordered)
         try:
-            rediscovered, attempts = self._enumerate(optimizer, ctx)
+            rediscovered, attempts = _drain(enumerate_points(optimizer, ctx))
         finally:
             ctx.take_seed_restriction()  # disarm if never consumed
         merged: dict[tuple, _CachedPoint] = {
@@ -771,48 +826,20 @@ class MatchEngine:
         self.stats.points_rediscovered += fresh
         return list(merged.values()), attempts
 
-    def _enumerate(
-        self, optimizer, ctx: MatchContext
-    ) -> tuple[list[_CachedPoint], int]:
-        """Run the generated match/pre phases to exhaustion."""
-        ctx.bindings.clear()
-        optimizer.set_up(ctx)
-        points: list[_CachedPoint] = []
-        attempts = 0
-        action_names = optimizer.action_names
-        for _found in optimizer.match(ctx):
-            attempts += 1
-            for _ok in optimizer.pre(ctx):
-                snapshot = ctx.snapshot_bindings()
-                bindings = {
-                    name: value
-                    for name, value in snapshot.items()
-                    if name in action_names
-                }
-                points.append(
-                    (point_signature(bindings), bindings,
-                     _bound_qids(snapshot))
-                )
-        return points, attempts
-
-    @staticmethod
-    def _dedup(points: list[_CachedPoint]) -> list[_CachedPoint]:
-        unique: dict[tuple, _CachedPoint] = {}
-        for point in points:
-            unique.setdefault(point[0], point)
-        return list(unique.values())
-
     def _shadow_check(
         self, optimizer, ctx: MatchContext, points: list[Point]
     ) -> None:
-        """Assert a worklist sweep equals a naive full re-scan."""
+        """Assert a worklist sweep equals a naive full re-scan: the same
+        enumeration with no candidate index and no seed restriction."""
         self.stats.shadow_checks += 1
         reference = MatchContext(
-            self.manager.program, ctx.graph, counters=CostCounters()
+            self.manager.program,
+            ctx.graph,
+            counters=CostCounters(),
+            structure_provider=self.manager.structure,
         )
         reference.enforce_restrictions = ctx.enforce_restrictions
-        naive, _ = self._enumerate(optimizer, reference)
-        want = {point[0] for point in naive}
+        want = {point[0] for point in enumerate_points(optimizer, reference)}
         got = {point[0] for point in points}
         if want == got:
             return

@@ -171,10 +171,22 @@ class OptimizerSession:
             )
         return optimizer
 
-    def points(self, name: str) -> list[dict[str, object]]:
-        """Application points of one optimization on the current code."""
+    def points(
+        self, name: str, override_dependences: bool = False
+    ) -> list[dict[str, object]]:
+        """Application points of one optimization on the current code.
+
+        With ``override_dependences`` the Depend section's ``no``
+        restrictions are ignored: this is the listing that
+        ``apply(name, point=N, override_dependences=True)`` counts
+        through.
+        """
         return find_application_points(
-            self._optimizer(name), self.program, self._maybe_graph()
+            self._optimizer(name),
+            self.program,
+            self._maybe_graph(),
+            enforce_restrictions=not override_dependences,
+            manager=self._manager,
         )
 
     # ------------------------------------------------------------------
@@ -397,6 +409,8 @@ class OptimizerSession:
 
             list                      registered optimizations
             points <OPT>              application points of <OPT>
+            points <OPT> override     ...ignoring 'no' deps (the
+                                      listing 'override' counts through)
             apply <OPT>               apply at the first point
             apply <OPT> all           apply at all points
             apply <OPT> <N>           apply at point N
@@ -445,8 +459,9 @@ class OptimizerSession:
         verb = words[0].lower()
         if verb == "list":
             return "\n".join(self.list_optimizations())
-        if verb == "points" and len(words) == 2:
-            points = self.points(words[1])
+        override = len(words) == 3 and words[2].lower() == "override"
+        if verb == "points" and (len(words) == 2 or override):
+            points = self.points(words[1], override_dependences=override)
             lines = [
                 f"{index}: "
                 + ", ".join(f"{k}={v}" for k, v in sorted(point.items()))

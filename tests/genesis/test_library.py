@@ -20,7 +20,11 @@ from repro.ir.types import Const, Var
 
 def context_for(builder):
     program = builder.build()
-    return MatchContext(program, compute_dependences(program))
+    return MatchContext(
+        program,
+        compute_dependences(program),
+        structure_provider=AnalysisManager(program).structure,
+    )
 
 
 def loop_program():
@@ -516,16 +520,18 @@ class TestActions:
         ),
     }
 
-    @pytest.mark.parametrize("provided", [False, True])
+    @pytest.mark.parametrize("managed_graph", [False, True])
     @pytest.mark.parametrize("action", sorted(PRIMITIVES))
-    def test_structure_follows_every_action(self, action, provided):
+    def test_structure_follows_every_action(self, action, managed_graph):
         """``ctx.structure`` consulted before an action is never served
-        stale after it, with or without the manager's table."""
+        stale after it, whether the context reads the manager's graph
+        or an explicit one (whose table comes from the manager
+        ``make_context`` creates)."""
         program = nest_program().build()
-        if provided:
+        if managed_graph:
             ctx = make_context(program, manager=AnalysisManager(program))
         else:
-            ctx = MatchContext(program, compute_dependences(program))
+            ctx = make_context(program, graph=compute_dependences(program))
         loops = list(lib.loops(ctx))
         before = structure_view(ctx.structure)
         act, restructures = self.PRIMITIVES[action]

@@ -2,8 +2,9 @@
 
 The load-bearing guarantee is *observational equivalence*: a pipeline
 driven by worklist sweeps must transform every program exactly as the
-paper's restart-from-top re-scan does.  The property tests here drive
-that across every catalog optimizer on random structured programs, and
+paper's restart-from-top re-scan does (the Figure 5 loop in
+``tests/figure5.py``).  The property tests here drive that across
+every catalog optimizer on random structured programs, and
 compare every shipped spec's shadow-checked sweeps with uncached full
 sweeps under random edit scripts and transaction rollbacks; the chaos
 tests assert the candidate index is byte-equal to a from-scratch
@@ -37,6 +38,7 @@ from repro.opts.extended import EXTENDED_SPECS
 from repro.opts.inferred import INFERRED_SPECS
 from repro.opts.specs import STANDARD_SPECS
 from repro.workloads.synthetic import random_program
+from tests.figure5 import run_figure5
 
 #: every catalog optimizer — the paper's ten plus the CRC variant
 ALL_OPTIMIZERS = (
@@ -79,17 +81,17 @@ def _text(program) -> list[str]:
     return [str(quad) for quad in program]
 
 
-def _run(optimizer, program, mode, manager=None, max_applications=30):
-    return run_optimizer(
-        optimizer,
-        program,
-        DriverOptions(
-            apply_all=True,
-            max_applications=max_applications,
-            match_mode=mode,
-        ),
-        manager=manager,
-    )
+#: both drivers apply everywhere, up to 30 applications per run
+OPTIONS = DriverOptions(apply_all=True, max_applications=30)
+
+
+def _run(optimizer, program, manager=None):
+    return run_optimizer(optimizer, program, OPTIONS, manager=manager)
+
+
+def _rescan(optimizer, program):
+    """The paper's restart-from-top loop, the worklist's reference."""
+    return run_figure5(optimizer, program, OPTIONS)
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +104,8 @@ def test_worklist_matches_rescan_per_optimizer(optimizers, opt_name, seed):
     base = random_program(seed, size=14, max_depth=3)
     worklist = base.clone()
     rescan = base.clone()
-    work_result = _run(optimizers[opt_name], worklist, "worklist")
-    scan_result = _run(optimizers[opt_name], rescan, "rescan")
+    work_result = _run(optimizers[opt_name], worklist)
+    scan_result = _rescan(optimizers[opt_name], rescan)
     assert _text(worklist) == _text(rescan)
     assert len(work_result.applications) == len(scan_result.applications)
 
@@ -118,9 +120,9 @@ def test_worklist_matches_rescan_in_pipeline(optimizers, seed):
     rescan = base.clone()
     manager = AnalysisManager(worklist)
     for name in SCALAR_PASSES:
-        _run(optimizers[name], worklist, "worklist", manager=manager)
+        _run(optimizers[name], worklist, manager=manager)
     for name in SCALAR_PASSES:
-        _run(optimizers[name], rescan, "rescan")
+        _rescan(optimizers[name], rescan)
     assert _text(worklist) == _text(rescan)
 
 
@@ -232,7 +234,7 @@ def test_index_survives_rollback_byte_equal(optimizers, seed):
     manager = AnalysisManager(program)
     engine = engine_for(manager)
     # prime the index and sweep caches with a real run
-    _run(optimizers["CTP"], program, "worklist", manager=manager)
+    _run(optimizers["CTP"], program, manager=manager)
 
     txn = ProgramTransaction(program)
     txn.begin()
@@ -250,10 +252,10 @@ def test_index_survives_rollback_byte_equal(optimizers, seed):
     fresh.refresh()
     assert engine.index.fingerprint() == fresh.fingerprint()
     # and the engine still sweeps correctly after the rollback
-    worklist = program.clone()
-    _run(optimizers["DCE"], program, "worklist", manager=manager)
-    _run(optimizers["DCE"], worklist, "rescan")
-    assert _text(program) == _text(worklist)
+    reference = program.clone()
+    _run(optimizers["DCE"], program, manager=manager)
+    _rescan(optimizers["DCE"], reference)
+    assert _text(program) == _text(reference)
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +400,7 @@ def test_shadow_mode_checks_worklist_sweeps(optimizers):
     manager = AnalysisManager(program)
     engine = MatchEngine(manager, full_check=True)
     manager._match_engine = engine  # what engine_for would attach
-    _run(optimizers["CTP"], program, "worklist", manager=manager)
+    _run(optimizers["CTP"], program, manager=manager)
     assert engine.stats.shadow_checks > 0
     assert engine.stats.shadow_checks == engine.stats.worklist_sweeps
 

@@ -161,3 +161,33 @@ class TestCommandInterface:
     def test_override_command(self, session):
         output = session.execute_command("override CTP 0")
         assert "application" in output
+
+
+class TestOverrideListing:
+    def test_override_applies_the_point_its_listing_shows(
+        self, optimizers, suite_by_name
+    ):
+        """``points DCE override`` lists the points ``override DCE N``
+        counts through.  On ``tridiag`` the enforced listing shows one
+        point, so its index 0 names another statement than the
+        override's index 0."""
+
+        def fresh():
+            session = OptimizerSession(
+                program=suite_by_name["tridiag"].load()
+            )
+            session.register(optimizers["DCE"])
+            return session
+
+        assert fresh().execute_command("points DCE") == "0: Si=23"
+        lines = fresh().execute_command("points DCE override").splitlines()
+        assert len(lines) == 12
+        for index, line in enumerate(lines):
+            session = fresh()
+            session.execute_command(f"override DCE {index}")
+            (record,) = session.history[-1].result.applications
+            shown = ", ".join(
+                f"{name}={value}"
+                for name, value in sorted(record.bindings.items())
+            )
+            assert line == f"{index}: {shown}"
