@@ -82,7 +82,7 @@ _PAIR_FINDERS = {
     ElemType.ADJACENT_LOOPS: "adjacent_loop_pairs",
 }
 
-#: ``.opc == <symbol>`` conjuncts narrow a seed scan to one shape bucket
+#: ``.opc == <symbol>`` conjuncts narrow a seed scan to one shape
 _SHAPE_BY_OPC = {
     "assign": "assign",
     "add": "binop", "sub": "binop", "mul": "binop", "div": "binop",
@@ -93,7 +93,7 @@ _SHAPE_BY_OPC = {
     "read": "io", "write": "io",
 }
 
-#: ``class(S) == <symbol>`` conjuncts map to shape-bucket sets
+#: ``class(S) == <symbol>`` conjuncts map to shape sets
 _SHAPE_BY_CLASS = {
     "assign": ("assign",),
     "binop": ("binop",),
@@ -132,15 +132,15 @@ def shape_hint(
     format_cond: Optional[Cond],
     var: str,
 ) -> Optional[tuple[str, ...]]:
-    """Shape buckets covering every candidate for ``var``, or None.
+    """Shapes covering every candidate for ``var``, or None.
 
     Only top-level AND conjuncts of the clause format are consulted,
     and only equality comparisons against symbolic constants — anything
     else widens the hint (drops it) rather than narrowing it, so the
     hint is always a superset filter: the emitted seed scan passes it
-    to ``lib.statements``, which serves the candidates from the
-    matching engine's shape buckets
-    (:class:`repro.genesis.matching.MatchIndex`).
+    to ``lib.statements``, which during a matching-engine sweep skips
+    every statement none of whose
+    :func:`~repro.genesis.library.statement_shapes` is in the hint.
     """
     if format_cond is None:
         return None
@@ -367,9 +367,9 @@ class CodeGenerator:
         Statement enumerations carry a *shape hint* derived from the
         clause format's top-level conjuncts (``Si.opc == assign``,
         ``class(Si) == compute``, ``type(Si.opr_2) == const``): a
-        superset of the buckets the candidate index must scan.  The
-        format check still runs on every candidate, so the hint never
-        affects what matches — only how many candidates are visited.
+        superset of the shapes a candidate can have.  The format check
+        still runs on every candidate, so the hint never affects what
+        matches — only how many candidates an engine sweep visits.
         """
         e = self.emitter
         depth = 0

@@ -295,9 +295,10 @@ def run_optimizer(
     circuit breaker shared across a pipeline or session.
 
     Points are discovered by sweeping through the
-    :mod:`repro.genesis.matching` engine, which serves candidates from
-    shape-bucket indexes and — after a committed application —
-    re-enumerates only the dirty region its transaction touched.  The
+    :mod:`repro.genesis.matching` engine, which skips seed candidates
+    that miss the spec's shape hints and — after a committed
+    application — re-enumerates only the dirty region its transaction
+    touched.  The
     run applies at the first point, in the sweep's canonical order,
     that it has not applied yet.  The paper's Figure 5 loop, which
     restarts the scan from the top of the program after every

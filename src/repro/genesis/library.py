@@ -101,10 +101,10 @@ class MatchContext:
         #: (paper Figure 4, step 3.b.iii.3) — 'no' clauses stop failing
         self.enforce_restrictions = True
         self._temp_counter = 0
-        #: shape-bucket index attached by the matching engine
-        #: (:class:`repro.genesis.matching.MatchIndex`); ``None`` keeps
-        #: :func:`statements` on its naive full scan
-        self.match_index: Optional[object] = None
+        #: set by the matching engine for its sweeps: :func:`statements`
+        #: then skips statements whose shapes miss the generated hint;
+        #: unset, it is the naive full scan
+        self.sweeping = False
         #: one-shot worklist restriction armed by the matching engine:
         #: the *first* seed enumeration after arming iterates only
         #: these statements, then the restriction is consumed so
@@ -191,37 +191,22 @@ def statements(
 ) -> Iterator[int]:
     """All statements in program order (candidate enumeration).
 
-    ``shape`` is an optional superset hint derived from the clause's
-    format at generation time (see :func:`statement_shapes`): when a
-    candidate index is attached to the context, only the statements in
-    the named shape buckets are enumerated.  The full format check
-    still runs downstream, so the hint is purely a candidate filter.
-
     A one-shot seed restriction (armed by the worklist engine) takes
-    precedence and enumerates only the dirty region.
+    precedence: only the dirty region is enumerated, in its order.
+
+    ``shape`` is an optional superset hint derived from the clause's
+    format at generation time (see :func:`statement_shapes`): while
+    the matching engine sweeps, a statement none of whose shapes is
+    in the hint is skipped before it counts as a candidate.  The full
+    format check still runs downstream, so the hint only filters.
     """
     restriction = ctx.take_seed_restriction()
-    if restriction is not None:
-        index = ctx.match_index
-        if index is not None and shape is not None:
-            if index.stats is not None:  # type: ignore[attr-defined]
-                index.stats.index_hits += 1  # type: ignore[attr-defined]
-            for qid in restriction:
-                if index.matches_shape(qid, shape):  # type: ignore[attr-defined]
-                    ctx.counters.candidates += 1
-                    yield qid
-            return
-        for qid in restriction:
-            ctx.counters.candidates += 1
-            yield qid
-        return
-    index = ctx.match_index
-    if index is not None and shape is not None:
-        for qid in index.statements_of(shape):  # type: ignore[attr-defined]
-            ctx.counters.candidates += 1
-            yield qid
-        return
-    for quad in ctx.program:
+    program = ctx.program
+    quads = program if restriction is None else map(program.quad, restriction)
+    wanted = frozenset(shape) if ctx.sweeping and shape is not None else None
+    for quad in quads:
+        if wanted is not None and wanted.isdisjoint(statement_shapes(quad)):
+            continue
         ctx.counters.candidates += 1
         yield quad.qid
 
@@ -359,8 +344,8 @@ _CLASS_BY_OPCODE = {
 
 
 def statement_class(quad: Quad) -> str:
-    """The ``class()`` token of one quad (shared with the candidate
-    index, which must bucket by *exactly* this classification)."""
+    """The ``class()`` token of one quad (shared with the shape filter
+    of :func:`statements`, which must classify by *exactly* this)."""
     opcode = quad.opcode
     if opcode in BINARY_OPS:
         return "binop"
@@ -370,11 +355,11 @@ def statement_class(quad: Quad) -> str:
 
 
 def statement_shapes(quad: Quad) -> tuple[str, ...]:
-    """Shape-bucket tokens for the candidate index.
+    """The shape tokens a seed scan's hint is tested against.
 
     Every quad carries its class token; assignments additionally carry
     an ``assign:<rhs-kind>`` token (const / var / array) so constant-
-    and copy-propagation seeds enumerate only matching candidates.
+    and copy-propagation seed scans count only matching candidates.
     """
     token = statement_class(quad)
     if token == "assign" and quad.a is not None:

@@ -1,36 +1,31 @@
-"""Incremental pattern matching: shape buckets + dirty-region worklist.
+"""Incremental pattern matching: a dirty-region worklist.
 
 The paper's driver (Figure 5) restarts candidate enumeration from the
 top of the program after every committed application; with dependences
 maintained incrementally by the analysis manager, that re-scan became
-the dominant cost of multi-pass pipelines.  This module removes it with
-two cooperating pieces:
+the dominant cost of multi-pass pipelines.  :class:`MatchEngine`
+removes it with a **dirty-region worklist** over application points.
+After a committed application only the quads its transaction touched
+(from the :class:`~repro.ir.program.Program` change log), the
+statements whose dependence edges changed (from the manager's
+per-refresh deltas), and the seeds at the far ends of the
+specification's anchor chains walked back from them can gain or lose
+application points.  The engine keeps the previous sweep's point set
+per optimizer, drops the points whose bound elements intersect that
+dirty region, re-enumerates candidates only from it (by arming a
+one-shot seed restriction on the
+:class:`~repro.genesis.library.MatchContext`), and serves the merged
+set.  Rollbacks need no special casing: the undo mutations are
+ordinary change-log entries, so the next sweep's dirty region covers
+exactly the rolled-back quads.
 
-* :class:`MatchIndex` — **shape buckets** over the program, maintained
-  from the :class:`~repro.ir.program.Program` change log: statements
-  bucketed by shape (``assign``, ``assign:const``, ``assign:var``,
-  ``assign:array``, ``binop``, ...).  Generated matchers pass a shape
-  *hint* derived from the clause format (:func:`repro.genesis.codegen`
-  emits it), so a constant-propagation seed scan enumerates only
-  constant-RHS assignments instead of every quad.  Loop enumerations
-  read the manager's version-cached
-  :class:`~repro.ir.loops.StructureTable`; the index keeps no loop
-  tables of its own.
-
-* :class:`MatchEngine` — a **dirty-region worklist** over application
-  points.  After a committed application only the quads its
-  transaction touched (from the change log), the statements whose
-  dependence edges changed (from the manager's per-refresh deltas),
-  and the seeds at the far ends of the specification's anchor chains
-  walked back from them can gain or lose application points.  The
-  engine keeps the previous sweep's point set per optimizer, drops the
-  points whose bound elements intersect that dirty region,
-  re-enumerates candidates only from it (by arming a one-shot seed
-  restriction on the :class:`~repro.genesis.library.MatchContext`), and
-  serves the merged set.  Rollbacks need no special casing: the undo
-  mutations are ordinary change-log entries, so the next sweep's dirty
-  region covers exactly the rolled-back quads and the index is
-  restored to the same state a fresh build would produce.
+Matching keeps no index of the program.  Seed scans walk the program
+(or the armed restriction) in order; during an engine sweep
+(``MatchContext.sweeping``) they skip the statements whose shapes miss
+the *shape hint* :mod:`repro.genesis.codegen` derives from the clause
+format, so a constant-propagation seed scan counts only constant-RHS
+assignments as candidates.  Loop enumerations read the manager's
+version-cached :class:`~repro.ir.loops.StructureTable`.
 
 Falling back to a full sweep — mirroring the splice-vs-rebuild policy
 of the analysis manager — happens whenever the incremental path cannot
@@ -71,16 +66,11 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Generator, Iterable, Optional, Sequence
+from typing import Generator, Iterable, Optional
 
 from repro.analysis.manager import AnalysisManager
 from repro.genesis.cost import CostCounters
-from repro.genesis.library import (
-    LoopBinding,
-    MatchContext,
-    PosBinding,
-    statement_shapes,
-)
+from repro.genesis.library import LoopBinding, MatchContext, PosBinding
 from repro.gospel.ast import (
     Arith,
     BoolOp,
@@ -96,15 +86,10 @@ from repro.gospel.ast import (
     Value,
 )
 from repro.gospel.sema import AnalyzedSpec
-from repro.ir.program import Program, ProgramChange
-from repro.ir.quad import STRUCTURAL_OPS
+from repro.ir.program import Program
 
 #: Environment variable enabling the shadow full-rescan check.
 ENV_MATCH_CHECK = "REPRO_MATCH_CHECK"
-
-#: Shape tokens whose quads delimit control structure; touching one
-#: sends a position-sensitive specification to a full sweep.
-_STRUCTURAL_SHAPES = frozenset({"loop_head", "if_stmt", "marker"})
 
 
 class MatchMismatchError(AssertionError):
@@ -156,9 +141,6 @@ class MatchStats:
     points_survived: int = 0
     points_dropped: int = 0
     points_rediscovered: int = 0
-    #: seed enumerations served from a shape bucket or worklist
-    #: restriction instead of a full program scan
-    index_hits: int = 0
     #: candidates enumerated across every engine sweep
     candidates_scanned: int = 0
     #: read by genesis_bench/child.py (frozen); nothing counts it: 0
@@ -169,129 +151,12 @@ class MatchStats:
     def summary(self) -> str:
         return (
             f"matching: {self.candidates_scanned} candidate(s) scanned, "
-            f"{self.index_hits} index hit(s), "
             f"{self.worklist_sweeps} worklist sweep(s), "
             f"{self.full_sweeps} full sweep(s), "
             f"{self.cached_sweeps} cached sweep(s) "
             f"({self.points_survived} point(s) survived, "
             f"{self.points_dropped} dropped, "
             f"{self.points_rediscovered} rediscovered)"
-        )
-
-
-# ----------------------------------------------------------------------
-# the candidate index
-# ----------------------------------------------------------------------
-class MatchIndex:
-    """Shape buckets, maintained from the change log.
-
-    One index serves one program object.  :meth:`refresh` brings it up
-    to the program's current version: per-statement shape buckets are
-    maintained entry-by-entry from the change log, and a trimmed log
-    causes a full rebuild.  Loop enumerations do not go through the
-    index: they read the manager's version-cached
-    :class:`~repro.ir.loops.StructureTable` (``MatchContext.structure``).
-    """
-
-    def __init__(self, program: Program):
-        self.program = program
-        self.stats: Optional[MatchStats] = None
-        self._version = -1
-        #: qid -> its shape tokens at the indexed version
-        self._shapes: dict[int, tuple[str, ...]] = {}
-        #: shape token -> set of qids
-        self._buckets: dict[str, set[int]] = {}
-
-    # -- maintenance ---------------------------------------------------
-    def refresh(self) -> None:
-        """Bring the index up to the program's current version."""
-        program = self.program
-        version = program.version
-        if version == self._version:
-            return
-        changes = (
-            program.changes_since(self._version)
-            if self._version >= 0
-            else None
-        )
-        if changes is None:
-            self._rebuild()
-        else:
-            self._apply_changes(changes)
-        self._version = version
-
-    def _apply_changes(self, changes: Sequence[ProgramChange]) -> None:
-        """Maintain the buckets from the log."""
-        program = self.program
-        for change in changes:
-            kind, qid = change.kind, change.qid
-            if kind == "move":
-                continue  # bucket membership is position-independent
-            self._unindex(qid)
-            if kind != "remove" and program.contains(qid):
-                self._index_quad(qid)
-
-    def _rebuild(self) -> None:
-        self._shapes.clear()
-        self._buckets.clear()
-        for quad in self.program:
-            self._index_quad(quad.qid)
-
-    def _index_quad(self, qid: int) -> None:
-        shapes = statement_shapes(self.program.quad(qid))
-        self._shapes[qid] = shapes
-        for token in shapes:
-            self._buckets.setdefault(token, set()).add(qid)
-
-    def _unindex(self, qid: int) -> None:
-        shapes = self._shapes.pop(qid, ())
-        for token in shapes:
-            bucket = self._buckets.get(token)
-            if bucket is not None:
-                bucket.discard(qid)
-
-    # -- queries (consumed by the library's enumerators) ---------------
-    def statements_of(self, shapes: Sequence[str]) -> list[int]:
-        """Statements in the named shape buckets, in program order."""
-        return sorted(self.members_of(shapes), key=self.program.position)
-
-    def members_of(self, shapes: Sequence[str]) -> set[int]:
-        """The named shape buckets' members, unordered."""
-        if self.stats is not None:
-            self.stats.index_hits += 1
-        qids: set[int] = set()
-        for token in shapes:
-            qids.update(self._buckets.get(token, ()))
-        return qids
-
-    def matches_shape(self, qid: int, shapes: Sequence[str]) -> bool:
-        """Is ``qid`` in any of the named shape buckets?  O(1) — for
-        filtering a small candidate set without building the union."""
-        tokens = self._shapes.get(qid)
-        if tokens is None:
-            return False
-        return any(token in shapes for token in tokens)
-
-    def fingerprint(self) -> str:
-        """A deterministic, version-independent hash of the whole index
-        state (the chaos tests compare it across rollbacks).
-
-        The program-content component is the canonical
-        :meth:`repro.ir.program.Program.fingerprint` — the same
-        definition the ordering experiment and the service result
-        cache use — extended with the shape buckets, so a stale index
-        can never hash equal to a fresh one.
-        """
-        shapes = sorted(self._shapes.items())
-        buckets = sorted(
-            (token, sorted(qids)) for token, qids in self._buckets.items()
-            if qids
-        )
-        payload = repr((shapes, buckets))
-        return (
-            self.program.fingerprint()
-            + ":"
-            + hashlib.sha256(payload.encode()).hexdigest()
         )
 
 
@@ -304,8 +169,6 @@ class SpecProfile:
 
     #: the single ``any``-quantified statement seed, when eligible
     seed: Optional[str]
-    #: the dirty-region worklist may serve this optimizer's sweeps
-    eligible: bool
     #: conditions inspect program positions (``path``/``pos``/``.next``
     #: ...) — structural changes then force a full sweep
     position_sensitive: bool
@@ -314,8 +177,13 @@ class SpecProfile:
     dep_kinds: Optional[frozenset[str]] = None
     #: one entry per search variable: the exact ``(kind, var_is_dst)``
     #: dependence steps from that variable's binding back to the seed,
-    #: which the dirty region walks.  Set exactly when eligible.
+    #: which the dirty region walks; ``None`` makes the spec ineligible
     var_paths: Optional[tuple[tuple[tuple[str, bool], ...], ...]] = None
+
+    @property
+    def eligible(self) -> bool:
+        """The dirty-region worklist may serve this optimizer's sweeps."""
+        return self.var_paths is not None
 
 
 def profile_spec(analyzed: AnalyzedSpec) -> SpecProfile:
@@ -367,10 +235,8 @@ def profile_spec(analyzed: AnalyzedSpec) -> SpecProfile:
     if kinds <= {"flow", "anti", "out", "ctrl"}:
         dep_kinds = frozenset(kinds)
     var_paths = _anchor_paths(analyzed, seed) if eligible else None
-    eligible = var_paths is not None
     return SpecProfile(
-        seed=seed if eligible else None,
-        eligible=eligible,
+        seed=seed if var_paths is not None else None,
         position_sensitive=sensitive,
         dep_kinds=dep_kinds,
         var_paths=var_paths,
@@ -570,10 +436,7 @@ def spec_fingerprint(optimizer) -> str:
     cached = getattr(optimizer, "_spec_fingerprint", None)
     if cached is None:
         cached = hashlib.sha256(optimizer.source.encode()).hexdigest()
-        try:
-            optimizer._spec_fingerprint = cached
-        except AttributeError:
-            pass  # slots/frozen object: recompute per call
+        optimizer._spec_fingerprint = cached
     return cached
 
 
@@ -592,8 +455,8 @@ class MatchEngine:
     """Worklist-driven sweeps over one manager's program.
 
     One engine serves one :class:`AnalysisManager` (use
-    :func:`engine_for`); per-optimizer sweep caches and the candidate
-    index live here, shared across ``run_optimizer`` calls.
+    :func:`engine_for`); per-optimizer sweep caches live here, shared
+    across ``run_optimizer`` calls.
     """
 
     def __init__(
@@ -606,8 +469,6 @@ class MatchEngine:
             full_check = os.environ.get(ENV_MATCH_CHECK, "") not in ("", "0")
         self.full_check = full_check
         self.stats = MatchStats()
-        self.index = MatchIndex(manager.program)
-        self.index.stats = self.stats
         self._caches: dict[str, _SweepCache] = {}
         self._profiles: dict[str, SpecProfile] = {}
 
@@ -618,7 +479,8 @@ class MatchEngine:
         Serves from the per-optimizer cache when the program is
         unchanged, from the dirty-region worklist when the interval
         since the cached sweep is provably local, and from a full
-        (index-accelerated) sweep otherwise.  The cache is read and
+        sweep otherwise; either scan skips statements that miss the
+        spec's shape hints (``ctx.sweeping``).  The cache is read and
         written only when ``ctx.graph`` is the manager's graph at the
         current program version: points found over a stale or
         explicit graph describe that graph, not the program.  Points
@@ -627,8 +489,7 @@ class MatchEngine:
         """
         program = self.manager.program
         candidates_before = ctx.counters.candidates
-        self.index.refresh()
-        ctx.match_index = self.index
+        ctx.sweeping = True
         version = program.version
         cacheable = ctx.enforce_restrictions and self.manager.is_current(
             ctx.graph
@@ -721,12 +582,13 @@ class MatchEngine:
                 # points; marker touches need no special treatment
                 continue
             before = change.before
-            if before is not None and before.opcode in STRUCTURAL_OPS:
+            if before is not None and before.is_structural():
                 return None
-            if program.contains(change.qid):
-                quad = program.quad(change.qid)
-                if statement_shapes(quad)[0] in _STRUCTURAL_SHAPES:
-                    return None
+            if (
+                program.contains(change.qid)
+                and program.quad(change.qid).is_structural()
+            ):
+                return None
         if structural and profile.position_sensitive:
             return None
         deltas = self.manager.dependence_deltas_since(cache.version)
@@ -830,7 +692,7 @@ class MatchEngine:
         self, optimizer, ctx: MatchContext, points: list[Point]
     ) -> None:
         """Assert a worklist sweep equals a naive full re-scan: the same
-        enumeration with no candidate index and no seed restriction."""
+        enumeration with no shape filter and no seed restriction."""
         self.stats.shadow_checks += 1
         reference = MatchContext(
             self.manager.program,
@@ -920,9 +782,9 @@ def engine_for(
     manager: AnalysisManager, full_check: Optional[bool] = None
 ) -> MatchEngine:
     """The matching engine attached to ``manager`` (created on first
-    use).  Keeping it on the manager shares the candidate index and
-    sweep caches across every ``run_optimizer`` call that shares the
-    manager — the pipeline and session do."""
+    use).  Keeping it on the manager shares the sweep caches across
+    every ``run_optimizer`` call that shares the manager — the
+    pipeline and session do."""
     engine = getattr(manager, "_match_engine", None)
     if engine is None or engine.manager is not manager:
         engine = MatchEngine(manager, full_check=full_check)

@@ -28,8 +28,8 @@ class PipelineReport:
     results: list[DriverResult] = field(default_factory=list)
     #: analysis cache/incremental-update counters for the whole run
     analysis_stats: Optional[AnalysisStats] = None
-    #: match-engine counters (candidates scanned, index hits,
-    #: worklist vs full sweeps) for the whole run
+    #: match-engine counters (candidates scanned, worklist vs full
+    #: sweeps) for the whole run
     match_stats: Optional[MatchStats] = None
     #: per-optimizer health ledger (rollbacks, quarantine state)
     health: Optional[HealthLedger] = None

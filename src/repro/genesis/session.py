@@ -145,8 +145,8 @@ class OptimizerSession:
 
     @property
     def match_stats(self) -> MatchStats:
-        """Match-engine counters: candidates scanned, index hits,
-        worklist-served vs full sweeps."""
+        """Match-engine counters: candidates scanned, worklist-served
+        vs full sweeps."""
         return engine_for(self._manager).stats
 
     def _maybe_graph(self) -> DependenceGraph:

@@ -440,8 +440,9 @@ class Program:
         first round trip (and is stable from then on).  This is why the
         search engine keys its states' fingerprints and scores on their
         text.  This is the one program-hash definition shared by
-        the ordering experiment, the match-index state hash, and the
-        service result cache (:mod:`repro.service`).
+        the ordering experiment, the search engine, inference's shared
+        first dependence builds, and the service result cache
+        (:mod:`repro.service`).
 
         The digest is the SHA-256 of the per-quad content hashes
         (:meth:`repro.ir.quad.Quad.content_hash`) concatenated in

@@ -1,8 +1,8 @@
 """`ServiceClient` and `run_batch`: the Python API in front of the service.
 
-:class:`ServiceClient` is a thin convenience layer that owns (or
-borrows) an :class:`~repro.service.scheduler.OptimizationService` and
-exposes one-shot optimization (``optimize_source``) and explicit
+:class:`ServiceClient` is a thin convenience layer that builds, owns
+and closes one :class:`~repro.service.scheduler.OptimizationService`
+and exposes one-shot optimization (``optimize_source``) and explicit
 ``submit``/``wait``.  :func:`run_batch` is the one way to batch jobs:
 it works on any client with ``submit``, ``wait`` and ``queue_limit`` —
 this one or :class:`~repro.service.net.client.NetworkServiceClient` —
@@ -77,7 +77,6 @@ class ServiceClient:
 
     def __init__(
         self,
-        service: Optional[OptimizationService] = None,
         *,
         backend: str = "inprocess",
         max_workers: int = 2,
@@ -86,21 +85,16 @@ class ServiceClient:
         cache_dir: Optional[str] = None,
         default_deadline: Optional[float] = None,
     ):
-        if service is not None:
-            self.service = service
-            self._owned = False
-        else:
-            self.service = OptimizationService(
-                ServiceConfig(
-                    backend=backend,
-                    max_workers=max_workers,
-                    queue_limit=queue_limit,
-                    cache_capacity=cache_capacity,
-                    cache_dir=cache_dir,
-                    default_deadline=default_deadline,
-                )
+        self.service = OptimizationService(
+            ServiceConfig(
+                backend=backend,
+                max_workers=max_workers,
+                queue_limit=queue_limit,
+                cache_capacity=cache_capacity,
+                cache_dir=cache_dir,
+                default_deadline=default_deadline,
             )
-            self._owned = True
+        )
 
     def optimize_source(
         self,
@@ -130,9 +124,8 @@ class ServiceClient:
         return self.service.config.queue_limit
 
     def close(self) -> None:
-        """Close the underlying service if this client created it."""
-        if self._owned:
-            self.service.close()
+        """Close the client's service."""
+        self.service.close()
 
     def __enter__(self) -> "ServiceClient":
         return self

@@ -29,7 +29,7 @@ class TestStructure:
     def test_match_enumerates_statements(self):
         generated = emit(CTP, name="CTP")
         # the seed scan carries a shape hint derived from the clause
-        # format (constant-RHS assignment buckets of the match index)
+        # format: an engine sweep counts only constant-RHS assignments
         assert "lib.statements(ctx, shape=('assign:const',))" in (
             generated.source
         )

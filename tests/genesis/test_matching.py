@@ -1,14 +1,13 @@
-"""The incremental matching engine: indexes, worklist, shadow parity.
+"""The incremental matching engine: worklist, shape filter, shadow parity.
 
 The load-bearing guarantee is *observational equivalence*: a pipeline
 driven by worklist sweeps must transform every program exactly as the
 paper's restart-from-top re-scan does (the Figure 5 loop in
 ``tests/figure5.py``).  The property tests here drive that across
-every catalog optimizer on random structured programs, and
-compare every shipped spec's shadow-checked sweeps with uncached full
-sweeps under random edit scripts and transaction rollbacks; the chaos
-tests assert the candidate index is byte-equal to a from-scratch
-rebuild after rollbacks.
+every catalog optimizer on random structured programs, and compare
+every shipped spec's shadow-checked sweeps with uncached full sweeps
+and with the unfiltered point listing under random edit scripts and
+transaction rollbacks.
 """
 
 from __future__ import annotations
@@ -19,11 +18,15 @@ from hypothesis import strategies as st
 
 from repro.analysis.manager import AnalysisManager
 from repro.frontend.lower import parse_program
-from repro.genesis.driver import DriverOptions, make_context, run_optimizer
+from repro.genesis.driver import (
+    DriverOptions,
+    find_application_points,
+    make_context,
+    run_optimizer,
+)
 from repro.genesis.generator import generate_optimizer
 from repro.genesis.matching import (
     MatchEngine,
-    MatchIndex,
     engine_for,
     point_signature,
     profile_spec,
@@ -33,7 +36,7 @@ from repro.genesis.transaction import ProgramTransaction
 from repro.ir.interp import run_program
 from repro.ir.quad import Opcode, Quad
 from repro.ir.types import Const, Var
-from repro.opts.catalog import standard_optimizers
+from repro.opts.catalog import build_optimizer, standard_optimizers
 from repro.opts.extended import EXTENDED_SPECS
 from repro.opts.inferred import INFERRED_SPECS
 from repro.opts.specs import STANDARD_SPECS
@@ -168,7 +171,8 @@ def _sweep_catalog(engine, catalog, program, manager) -> None:
 
 def _assert_catalog_matches_full_sweeps(engine, catalog, program, manager):
     """Every spec's (shadow-checked) sweep equals, points and order, an
-    uncached full sweep on a second engine."""
+    uncached full sweep on a second engine, and, as a point set, the
+    listing's unfiltered scan: a shape hint drops no point."""
     reference = MatchEngine(manager, full_check=False)
     for optimizer in catalog:
         got = engine.sweep(optimizer, make_context(program, manager=manager))
@@ -176,6 +180,10 @@ def _assert_catalog_matches_full_sweeps(engine, catalog, program, manager):
             optimizer, make_context(program, manager=manager)
         )
         assert got.points == want.points, optimizer.name
+        listed = find_application_points(optimizer, program, manager=manager)
+        assert {sig for sig, _ in got.points} == {
+            point_signature(bindings) for bindings in listed
+        }, optimizer.name
 
 
 @settings(**CATALOG_SETTINGS)
@@ -215,25 +223,20 @@ def test_catalog_sweeps_survive_rollback(catalog, seed, script):
     _sweep_catalog(engine, catalog, program, manager)
     txn.rollback()
 
-    # post-rollback: sweeps equal a from-scratch enumeration, and the
-    # candidate index is byte-equal to a fresh rebuild
+    # post-rollback: sweeps equal a from-scratch enumeration
     _assert_catalog_matches_full_sweeps(engine, catalog, program, manager)
-    fresh = MatchIndex(program)
-    fresh.refresh()
-    assert engine.index.fingerprint() == fresh.fingerprint()
     assert engine.stats.shadow_checks == engine.stats.worklist_sweeps
 
 
 # ----------------------------------------------------------------------
-# chaos: rollbacks must leave the index byte-equal to a fresh rebuild
+# chaos: after a rollback the driver still sweeps like the reference
 # ----------------------------------------------------------------------
 @settings(**COMMON)
 @given(seed=st.integers(min_value=0, max_value=50_000))
-def test_index_survives_rollback_byte_equal(optimizers, seed):
+def test_driver_sweeps_survive_rollback(optimizers, seed):
     program = random_program(seed, size=16, max_depth=2)
     manager = AnalysisManager(program)
-    engine = engine_for(manager)
-    # prime the index and sweep caches with a real run
+    # prime the sweep caches with a real run
     _run(optimizers["CTP"], program, manager=manager)
 
     txn = ProgramTransaction(program)
@@ -243,15 +246,13 @@ def test_index_survives_rollback_byte_equal(optimizers, seed):
         victim, Quad(Opcode.ASSIGN, result=Var("z"), a=Const(1))
     )
     program.remove(victim)
-    # mid-transaction state is visible to the index like any other
-    engine.index.refresh()
+    # a sweep over the mid-transaction state primes DCE's cache, so the
+    # run below serves its first sweep across the rollback
+    engine_for(manager).sweep(
+        optimizers["DCE"], make_context(program, manager=manager)
+    )
     txn.rollback()
 
-    engine.index.refresh()
-    fresh = MatchIndex(program)
-    fresh.refresh()
-    assert engine.index.fingerprint() == fresh.fingerprint()
-    # and the engine still sweeps correctly after the rollback
     reference = program.clone()
     _run(optimizers["DCE"], program, manager=manager)
     _rescan(optimizers["DCE"], reference)
@@ -288,52 +289,6 @@ def test_profile_eligibility_table(optimizers, catalog):
     assert profiles["CFO"].var_paths == ()  # no dependence atoms at all
     assert profiles["CTP"].dep_kinds == frozenset({"flow"})
     assert profiles["CPP"].dep_kinds == frozenset({"flow", "anti"})
-
-
-# ----------------------------------------------------------------------
-# unit: index maintenance from the change log
-# ----------------------------------------------------------------------
-def test_index_tracks_insert_modify_remove():
-    program = random_program(11, size=10, max_depth=1)
-    index = MatchIndex(program)
-    index.refresh()
-
-    def check():
-        fresh = MatchIndex(program)
-        fresh.refresh()
-        assert index.fingerprint() == fresh.fingerprint()
-
-    first = next(iter(program)).qid
-    added = program.insert_after(
-        first, Quad(Opcode.ASSIGN, result=Var("u"), a=Const(7))
-    )
-    index.refresh()
-    check()
-    assert index.matches_shape(added.qid, ("assign:const",))
-    assert added.qid in index.statements_of(("assign:const",))
-
-    program.replace(
-        added.qid, Quad(Opcode.ASSIGN, result=Var("u"), a=Var("v"))
-    )
-    index.refresh()
-    check()
-    assert not index.matches_shape(added.qid, ("assign:const",))
-    assert index.matches_shape(added.qid, ("assign:var",))
-
-    program.remove(added.qid)
-    index.refresh()
-    check()
-    assert not index.matches_shape(added.qid, ("assign:var",))
-    assert added.qid not in index.statements_of(("assign", "assign:var"))
-
-
-def test_index_statements_of_in_program_order():
-    program = random_program(5, size=12, max_depth=1)
-    index = MatchIndex(program)
-    index.refresh()
-    qids = index.statements_of(("assign", "binop", "unop"))
-    assert qids == sorted(qids, key=program.position)
-    assert set(qids) == index.members_of(("assign", "binop", "unop"))
 
 
 # ----------------------------------------------------------------------
@@ -408,24 +363,6 @@ def test_shadow_mode_checks_worklist_sweeps(optimizers):
 # ----------------------------------------------------------------------
 # unit: sweep caches are keyed by spec fingerprint, not object identity
 # ----------------------------------------------------------------------
-def test_sweep_cache_survives_regeneration_of_same_spec():
-    """Two generations of the same source share a fingerprint, so the
-    second sweep is served from cache despite the fresh object."""
-    from repro.opts.catalog import build_optimizer
-
-    program = random_program(11, size=20, max_depth=1)
-    manager = AnalysisManager(program)
-    engine = MatchEngine(manager, full_check=False)
-    first = build_optimizer("CTP")
-    second = build_optimizer("CTP")
-    assert first is not second or True  # lru may share; fingerprint rules
-    assert spec_fingerprint(first) == spec_fingerprint(second)
-    engine.sweep(first, make_context(program, manager=manager))
-    cached_before = engine.stats.cached_sweeps
-    engine.sweep(second, make_context(program, manager=manager))
-    assert engine.stats.cached_sweeps == cached_before + 1
-
-
 def test_sweep_cache_invalidated_on_changed_source_same_name():
     """A re-generated spec with the same name but different source
     must not reuse the previous points."""
@@ -448,12 +385,14 @@ def test_sweep_cache_invalidated_on_changed_source_same_name():
 
 
 def test_sweep_cache_survives_regenerated_optimizer():
+    """Two generations of the same source share a fingerprint, so the
+    second sweep is served from cache despite the fresh object."""
     program = random_program(4, size=12, max_depth=1)
     manager = AnalysisManager(program)
     engine = MatchEngine(manager, full_check=False)
     manager._match_engine = engine
     first = generate_optimizer(STANDARD_SPECS["CTP"], name="CTP")
-    twin = generate_optimizer(STANDARD_SPECS["CTP"], name="CTP")
+    twin = build_optimizer("CTP")  # the catalog's own generation
     assert first is not twin
     assert spec_fingerprint(first) == spec_fingerprint(twin)
 
